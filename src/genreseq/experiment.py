@@ -14,10 +14,9 @@ import json
 import math
 import os
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from .nets import CellKind, TrainConfig, predict, train
 from .transitions import (
     Dataset,
     FeatureMode,
+    GenreSample,
     TransitionModel,
     featurize,
     genre_samples,
@@ -64,8 +64,6 @@ STAGES = (
 )
 
 REPORT_HEADER = "cell,mode,stage,cluster,recall,precision,accuracy,f1"
-
-WORKERS_ENV_VAR = "GENRESEQ_WORKERS"
 
 
 @dataclass
@@ -143,15 +141,6 @@ def split_users(
     return train_set, test_set
 
 
-def _pool_map(fn: Callable, items: Sequence) -> list:
-    """Run cluster-level work items, optionally on a bounded thread pool."""
-    workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _load_sequences(config: ExperimentConfig) -> list[UserSequence]:
     if config.synthetic is not None:
         sequences, _ = generate_synthetic(config.synthetic)
@@ -176,6 +165,26 @@ def _evaluate(params, dataset: Dataset, cluster: int, config: ExperimentConfig) 
     probs = predict(params, dataset.inputs)
     counts = confusion_counts(probs, dataset.targets, config.threshold)
     return cluster_metrics(cluster, counts, config.trim_metrics)
+
+
+def _fit_and_score(
+    samples: tuple[list[GenreSample], list[GenreSample]],
+    probs: np.ndarray,
+    cell: CellKind,
+    mode: FeatureMode,
+    seed: int,
+    cluster: int,
+    config: ExperimentConfig,
+) -> ClusterMetrics:
+    """Featurize (train, test) samples, fit one model on train, score it on test.
+
+    Datasets are built per fit and dropped after it, so only one fit's
+    inputs are alive at a time.
+    """
+    train_samples, test_samples = samples
+    train_cfg = replace(config.train, seed=seed)
+    params = train(featurize(train_samples, probs, mode), cell, train_cfg).params
+    return _evaluate(params, featurize(test_samples, probs, mode), cluster, config)
 
 
 def _metrics_row(cell: CellKind, mode: FeatureMode, stage: str, cluster: str, m) -> ReportRow:
@@ -209,24 +218,10 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     global_tm = TransitionModel.from_sequences(-1, global_train)
     cluster_tm = {c: TransitionModel.from_sequences(c, splits[c][0]) for c in cluster_ids}
 
-    global_train_samples = genre_samples(global_train)
-    global_test_samples = genre_samples(global_test)
+    global_samples = (genre_samples(global_train), genre_samples(global_test))
     cluster_samples = {
         c: (genre_samples(splits[c][0]), genre_samples(splits[c][1])) for c in cluster_ids
     }
-
-    bc_data: dict[FeatureMode, tuple[Dataset, Dataset]] = {}
-    cl_data: dict[tuple[int, FeatureMode], tuple[Dataset, Dataset]] = {}
-    for mode in config.modes:
-        bc_data[mode] = (
-            featurize(global_train_samples, global_tm.probs, mode),
-            featurize(global_test_samples, global_tm.probs, mode),
-        )
-        for c in cluster_ids:
-            cl_data[(c, mode)] = (
-                featurize(cluster_samples[c][0], cluster_tm[c].probs, mode),
-                featurize(cluster_samples[c][1], cluster_tm[c].probs, mode),
-            )
 
     rows: list[ReportRow] = []
     ac_details: dict[tuple[str, str], tuple[ClusterMetrics, ...]] = {}
@@ -234,24 +229,20 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
 
     for cell in config.cells:
         for mode in config.modes:
-            train_ds, test_ds = bc_data[mode]
-            bc_cfg = replace(
-                config.train, seed=derive_seed(config.seed, "train-bc", cell.value, mode.value)
+            tags = (cell.value, mode.value)
+            bc_m = _fit_and_score(
+                global_samples, global_tm.probs, cell, mode,
+                derive_seed(config.seed, "train-bc", *tags), -1, config,
             )
-            bc_params = train(train_ds, cell, bc_cfg).params
-            bc_m = _evaluate(bc_params, test_ds, -1, config)
             rows.append(_metrics_row(cell, mode, "BC", "all", bc_m))
 
-            def cluster_run(c: int) -> ClusterMetrics:
-                tr, te = cl_data[(c, mode)]
-                cfg = replace(
-                    config.train,
-                    seed=derive_seed(config.seed, "train-ac", c, cell.value, mode.value),
+            ac = {
+                c: _fit_and_score(
+                    cluster_samples[c], cluster_tm[c].probs, cell, mode,
+                    derive_seed(config.seed, "train-ac", c, *tags), c, config,
                 )
-                params = train(tr, cell, cfg).params
-                return _evaluate(params, te, c, config)
-
-            ac = {m.cluster: m for m in _pool_map(cluster_run, cluster_ids)}
+                for c in cluster_ids
+            }
             best = min(cluster_ids, key=lambda c: (-ac[c].f1, c))
             worst = min(cluster_ids, key=lambda c: (ac[c].f1, c))
             ac_mean = mean_cluster_metrics(
@@ -262,7 +253,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             rows.append(_metrics_row(cell, mode, "AC-mean", "mean", ac_mean))
             rows.append(_metrics_row(cell, mode, "BT-mean", "mean", ac_mean))
             rows.append(_metrics_row(cell, mode, "BT-worst", str(worst), ac[worst]))
-            ac_details[(cell.value, mode.value)] = tuple(ac[c] for c in cluster_ids)
+            ac_details[tags] = tuple(ac[c] for c in cluster_ids)
 
             selected = select_trim_clusters(ac.values(), config.eta)
             at = dict(ac)
@@ -275,21 +266,17 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
                 masked_test, _ = apply_trim_to_dataset(cluster_samples[c][1], zeroed)
                 if not masked_train or not masked_test:
                     continue
-                tr = featurize(masked_train, cluster_tm[c].probs, mode)
-                te = featurize(masked_test, cluster_tm[c].probs, mode)
-                cfg = replace(
-                    config.train,
-                    seed=derive_seed(config.seed, "train-ac", c, cell.value, mode.value),
+                at[c] = _fit_and_score(
+                    (masked_train, masked_test), cluster_tm[c].probs, cell, mode,
+                    derive_seed(config.seed, "train-ac", c, *tags), c, config,
                 )
-                params = train(tr, cell, cfg).params
-                at[c] = _evaluate(params, te, c, config)
             at_worst = min(cluster_ids, key=lambda c: (at[c].f1, c))
             at_mean = mean_cluster_metrics(
                 [at[c] for c in cluster_ids], config.weighted_means
             )
             rows.append(_metrics_row(cell, mode, "AT-worst", str(at_worst), at[at_worst]))
             rows.append(_metrics_row(cell, mode, "AT-mean", "mean", at_mean))
-            at_details[(cell.value, mode.value)] = tuple(at[c] for c in cluster_ids)
+            at_details[tags] = tuple(at[c] for c in cluster_ids)
 
     report = EvalReport(tuple(rows), ac_details, at_details)
     if config.out_dir is not None:

@@ -130,11 +130,11 @@ def init_params(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below; exp never overflows."""
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -258,6 +258,14 @@ def bce_loss(y: np.ndarray, target: np.ndarray) -> float:
     return float(-np.mean(target * np.log(y) + (1.0 - target) * np.log(1.0 - y)))
 
 
+def _accumulate(grads: dict[str, np.ndarray], name: str, term: np.ndarray) -> None:
+    """``grads[name] += term``; the first term is stored as is, not added to 0."""
+    if name in grads:
+        grads[name] += term
+    else:
+        grads[name] = term
+
+
 def backward(cache: dict, target: np.ndarray, params: NetParams) -> dict[str, np.ndarray]:
     """Analytic gradients of the loss for every parameter.
 
@@ -271,7 +279,7 @@ def backward(cache: dict, target: np.ndarray, params: NetParams) -> dict[str, np
     y = cache["y"]
     target = np.asarray(target, dtype=np.float64).reshape(y.shape)
 
-    grads = {k: np.zeros_like(v) for k, v in w.items()}
+    grads: dict[str, np.ndarray] = {}
     dz_out = (y - target) / y.size
     hs = cache["h"]
     grads["V"] = dz_out.T @ hs[-1]
@@ -281,9 +289,9 @@ def backward(cache: dict, target: np.ndarray, params: NetParams) -> dict[str, np
     if params.cell is CellKind.RNN:
         for t in range(steps - 1, -1, -1):
             dz = dh * (1.0 - hs[t + 1] ** 2)
-            grads["U"] += dz.T @ x[:, t]
-            grads["W"] += dz.T @ hs[t]
-            grads["b"] += dz.sum(axis=0)
+            _accumulate(grads, "U", dz.T @ x[:, t])
+            _accumulate(grads, "W", dz.T @ hs[t])
+            _accumulate(grads, "b", dz.sum(axis=0))
             dh = dz @ w["W"]
     elif params.cell is CellKind.LSTM:
         dc_next = np.zeros((batch, hidden))
@@ -296,20 +304,20 @@ def backward(cache: dict, target: np.ndarray, params: NetParams) -> dict[str, np
             df = dc * cache["c"][t]
             di = dc * g
             dg = dc * i
-            dzcat = np.zeros_like(zcat)
-            for name, gate, dgate in (
-                ("f", f, df),
-                ("i", i, di),
-                ("o", o, do),
+            dzcat = None
+            for name, dz in (
+                ("f", df * f * (1.0 - f)),
+                ("i", di * i * (1.0 - i)),
+                ("o", do * o * (1.0 - o)),
+                ("c", dg * (1.0 - g**2)),
             ):
-                dz = dgate * gate * (1.0 - gate)
-                grads[f"W_{name}"] += dz.T @ zcat
-                grads[f"b_{name}"] += dz.sum(axis=0)
-                dzcat += dz @ w[f"W_{name}"]
-            dz = dg * (1.0 - g**2)
-            grads["W_c"] += dz.T @ zcat
-            grads["b_c"] += dz.sum(axis=0)
-            dzcat += dz @ w["W_c"]
+                _accumulate(grads, f"W_{name}", dz.T @ zcat)
+                _accumulate(grads, f"b_{name}", dz.sum(axis=0))
+                term = dz @ w[f"W_{name}"]
+                if dzcat is None:
+                    dzcat = term
+                else:
+                    dzcat += term
             dh = dzcat[:, :hidden]
             dc_next = dc * f
     else:
@@ -321,21 +329,21 @@ def backward(cache: dict, target: np.ndarray, params: NetParams) -> dict[str, np
             dz_gate = dh * (hbar - h_prev)
             dh_prev = dh * (1.0 - z)
             da = dhbar * (1.0 - hbar**2)
-            grads["W"] += da.T @ acat
+            _accumulate(grads, "W", da.T @ acat)
             dacat = da @ w["W"]
             dr = dacat[:, :hidden] * h_prev
             dh_prev += dacat[:, :hidden] * r
             dzz = dz_gate * z * (1.0 - z)
             dzr = dr * r * (1.0 - r)
-            grads["W_z"] += dzz.T @ zcat
-            grads["W_r"] += dzr.T @ zcat
+            _accumulate(grads, "W_z", dzz.T @ zcat)
+            _accumulate(grads, "W_r", dzr.T @ zcat)
             dh_prev += (dzz @ w["W_z"])[:, :hidden] + (dzr @ w["W_r"])[:, :hidden]
             dh = dh_prev
     return grads
 
 
 def predict(params: NetParams, inputs: np.ndarray) -> np.ndarray:
-    """Per-genre probabilities without keeping the activation cache."""
+    """Per-genre probabilities; the activation cache is built and dropped."""
     y, _ = forward_sequence(inputs, params)
     return y
 
@@ -365,7 +373,12 @@ def train(dataset: Dataset, cell: CellKind, config: TrainConfig) -> TrainResult:
         init_scale=config.init_scale,
         rng=rng,
     )
-    velocity = {k: np.zeros_like(v) for k, v in params.weights.items()}
+    # Parameters, gradient and velocity each live in one flat buffer (the
+    # weights dict holds views into it), so the momentum update is a few
+    # whole-buffer ufuncs instead of a few per tensor.
+    flat, params.weights = _flat_views(params.weights)
+    grad = np.empty_like(flat)
+    velocity = np.zeros_like(flat)
     losses: list[float] = []
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -377,12 +390,24 @@ def train(dataset: Dataset, cell: CellKind, config: TrainConfig) -> TrainResult:
             yb, cache = forward_sequence(xb, params)
             total += bce_loss(yb, tb) * idx.size
             grads = backward(cache, tb, params)
-            for k, vel in velocity.items():
-                vel *= config.momentum
-                vel -= config.learning_rate * grads[k]
-                params.weights[k] += vel
+            np.concatenate([grads[k].ravel() for k in params.weights], out=grad)
+            velocity *= config.momentum
+            grad *= config.learning_rate
+            velocity -= grad
+            flat += velocity
         losses.append(total / n)
     return TrainResult(params, tuple(losses))
+
+
+def _flat_views(weights: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Copy ``weights`` into one flat buffer; return it and a view per name."""
+    flat = np.concatenate([v.ravel() for v in weights.values()])
+    views: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, v in weights.items():
+        views[name] = flat[offset : offset + v.size].reshape(v.shape)
+        offset += v.size
+    return flat, views
 
 
 def save_checkpoint(params: NetParams, path: str | Path) -> Path:

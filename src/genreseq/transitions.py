@@ -126,15 +126,34 @@ def genre_samples(sequences: Iterable[UserSequence]) -> list[GenreSample]:
 
 
 def featurize(samples: Sequence[GenreSample], probs: np.ndarray, mode: FeatureMode) -> Dataset:
-    """Attach each input movie's ATV and combine per ``mode``."""
+    """Attach each input movie's ATV and combine per ``mode``.
+
+    Bit-identical to :func:`atv` + :func:`combine` per step: each ATV adds
+    its support rows in genre order onto 0.0 and divides by the support
+    size, the same arithmetic as ``probs[sup].mean(axis=0)``.  (A matmul
+    ``steps @ probs`` sums in a different order and is off by ~1e-17.)
+    """
     n = len(samples)
+    steps = np.array([s.steps for s in samples], dtype=np.float64).reshape(n, 4, N_GENRES)
+    targets = np.array([s.target for s in samples], dtype=np.float64).reshape(n, N_GENRES)
+    support = steps != 0
+    sizes = support.sum(axis=2)
+    if not sizes.all():
+        raise EmptyGenreSupport("no genres set; transition vector undefined")
+    if mode is FeatureMode.GENRE_ONLY:
+        return Dataset(steps, targets)
+
     inputs = np.zeros((n, 4, feature_dim(mode)))
-    targets = np.zeros((n, N_GENRES))
-    for i, sample in enumerate(samples):
-        for t in range(4):
-            step = sample.steps[t]
-            inputs[i, t] = combine(step, atv(step, probs), mode)
-        targets[i] = sample.target
+    out = inputs[:, :, N_GENRES:] if mode is FeatureMode.CONCAT else inputs
+    for g in range(N_GENRES):
+        np.add(out, probs[g], out=out, where=support[:, :, g, None])
+    out /= sizes[:, :, None]
+    if mode is FeatureMode.SUM:
+        out += steps
+    elif mode is FeatureMode.PRODUCT:
+        out *= steps
+    else:
+        inputs[:, :, :N_GENRES] = steps
     return Dataset(inputs, targets)
 
 

@@ -8,12 +8,39 @@ implementation that shares no code with them.
 from __future__ import annotations
 
 import math
+import platform
 
 import numpy as np
+import pytest
 
 from genreseq.ingest import RatingEvent, UserSequence
 from genreseq.genres import encode_genres
 from genreseq.nets import bce_loss, forward_sequence
+
+
+# The build the sha256 pins (report bytes, trained weights) were recorded
+# on.  Float results depend on numpy's kernels and on BLAS summation order,
+# so the pins only hold there; elsewhere the pinned tests skip.
+PINNED_BUILD = {
+    "numpy": "2.4.6",
+    "blas": "scipy-openblas 0.3.31.188.0",
+    "machine": "x86_64",
+}
+
+
+def current_build() -> dict[str, str]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "machine": platform.machine(),
+    }
+
+
+requires_pinned_build = pytest.mark.skipif(
+    current_build() != PINNED_BUILD,
+    reason=f"sha256 pins were recorded on {PINNED_BUILD}",
+)
 
 
 def make_sequence(genre_sets, ratings=None, user_id=1, t0=1000):

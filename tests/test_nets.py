@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from genreseq.nets import (
     CellKind,
     NetParams,
     TrainConfig,
+    _sigmoid,
     backward,
     bce_loss,
     forward_sequence,
@@ -29,6 +32,7 @@ from .helpers import (
     gru_step_oracle,
     lstm_step_oracle,
     max_relative_error,
+    requires_pinned_build,
     rnn_step_oracle,
 )
 
@@ -189,6 +193,28 @@ class TestForwardSequence:
             forward_sequence(np.zeros((4, D + 2)), params)
 
 
+def two_branch_sigmoid(x):
+    """The masked two-branch logistic: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_bit_identical_to_two_branch_formula(self):
+        edges = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0])
+        x = np.concatenate([edges, np.random.default_rng(56).normal(0.0, 20.0, 2000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _sigmoid(x)
+            expected = two_branch_sigmoid(x)
+        # Compare bit patterns, so signed zeros and subnormals count too.
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 class TestBceLoss:
     def test_half_probabilities(self):
         y = np.full(19, 0.5)
@@ -312,18 +338,94 @@ class TestTrain:
             TrainConfig(init_scale=0.0)
 
 
+def weights_sha256(params):
+    digest = hashlib.sha256()
+    for name in sorted(params.weights):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(params.weights[name]).tobytes())
+    return digest.hexdigest()
+
+
+def small_dataset(n=45, seed=7):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, (n, 4, D))
+    t = (rng.uniform(size=(n, 19)) < 0.3).astype(float)
+    return Dataset(x, t)
+
+
+def per_tensor_train(dataset, cell, config):
+    """Reference loop: per-tensor momentum updates, loss summed batch by batch."""
+    n = len(dataset)
+    rng = np.random.default_rng(config.seed)
+    params = init_params(
+        cell, dataset.inputs.shape[2], config.hidden_dim, dataset.targets.shape[1],
+        init_scale=config.init_scale, rng=rng,
+    )
+    velocity = {k: np.zeros_like(v) for k, v in params.weights.items()}
+    losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            yb, cache = forward_sequence(dataset.inputs[idx], params)
+            total += bce_loss(yb, dataset.targets[idx]) * idx.size
+            grads = backward(cache, dataset.targets[idx], params)
+            for k, vel in velocity.items():
+                vel *= config.momentum
+                vel -= config.learning_rate * grads[k]
+                params.weights[k] += vel
+        losses.append(total / n)
+    return params, losses
+
+
+# sha256 of the weights after train(small_dataset(), cell, PINNED_CONFIG),
+# recorded with the per-tensor update loop on helpers.PINNED_BUILD.  A
+# change to the training arithmetic that moves any bit must re-pin these
+# on purpose.
+PINNED_CONFIG = TrainConfig(epochs=4, batch_size=8, hidden_dim=8, seed=11)
+PINNED_WEIGHTS = {
+    CellKind.RNN: "6bb2b02a226e450300ffbc3f27820645da70f9218c31c06c186c46af83e95f56",
+    CellKind.LSTM: "623f68026b1ba2e840ecfdf0643c1501250ab70115ea98653d5afc69e25d8c35",
+    CellKind.GRU: "97297271c896954488cd619f91292f8050315628a12b08df3b740ad84363c4ea",
+}
+
+
+class TestTrainExactness:
+    @requires_pinned_build
+    @pytest.mark.parametrize("cell", list(CellKind))
+    def test_pinned_weights(self, cell):
+        result = train(small_dataset(), cell, PINNED_CONFIG)
+        assert weights_sha256(result.params) == PINNED_WEIGHTS[cell]
+
+    @pytest.mark.parametrize("cell", list(CellKind))
+    def test_matches_per_tensor_loop(self, cell):
+        # 45 samples at batch 8 leave a ragged final batch of 5.
+        result = train(small_dataset(), cell, PINNED_CONFIG)
+        ref_params, ref_losses = per_tensor_train(small_dataset(), cell, PINNED_CONFIG)
+        for key, ref in ref_params.weights.items():
+            assert np.array_equal(result.params.weights[key], ref)
+        assert result.losses == tuple(ref_losses)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
+        # Trained params hold views into one flat buffer; fresh ones do not.
+        cfg = TrainConfig(epochs=3, batch_size=16, hidden_dim=H, seed=5)
         for cell in CellKind:
-            params = random_params(cell, seed=54)
-            path = save_checkpoint(params, tmp_path / f"{cell.value.lower()}.npz")
-            loaded = load_checkpoint(path)
-            assert loaded.cell == params.cell
-            assert (loaded.input_dim, loaded.hidden_dim, loaded.output_dim) == (D, H, 19)
-            for key in params.weights:
-                assert np.array_equal(loaded.weights[key], params.weights[key])
-            x = np.random.default_rng(54).uniform(0, 1, (4, D))
-            assert np.array_equal(predict(params, x), predict(loaded, x))
+            for tag, params in (
+                ("fresh", random_params(cell, seed=54)),
+                ("trained", train(small_dataset(), cell, cfg).params),
+            ):
+                path = save_checkpoint(params, tmp_path / f"{tag}_{cell.value.lower()}.npz")
+                loaded = load_checkpoint(path)
+                assert loaded.cell == params.cell
+                assert (loaded.input_dim, loaded.hidden_dim, loaded.output_dim) == (D, H, 19)
+                assert set(loaded.weights) == set(params.weights)
+                for key in params.weights:
+                    assert np.array_equal(loaded.weights[key], params.weights[key])
+                x = np.random.default_rng(54).uniform(0, 1, (4, D))
+                assert np.array_equal(predict(params, x), predict(loaded, x))
 
     def test_suffix_added(self, tmp_path):
         params = random_params(CellKind.RNN, seed=55)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from genreseq.errors import EmptyGenreSupport
+from genreseq.evaluation import apply_trim_to_dataset
 from genreseq.genres import GENRES, genre_index
 from genreseq.ingest import SyntheticSpec, generate_synthetic
 from genreseq.transitions import (
     FeatureMode,
+    GenreSample,
     TransitionModel,
     atv,
     build_dataset,
@@ -183,15 +185,41 @@ class TestBuildDataset:
                 assert np.array_equal(ds.inputs[0, t], ds.inputs[0, 0])
 
     def test_featurize_matches_manual_combination(self):
-        seqs = self.sequences(4, seed=28)
+        # The vectorized featurize must reproduce atv + combine bit for bit,
+        # on raw samples and on samples with trimmed genre columns.
         rng = np.random.default_rng(29)
-        probs = normalize_transitions(rng.integers(1, 9, size=(19, 19)).astype(float))
+        probs = normalize_transitions(rng.integers(0, 9, size=(19, 19)).astype(float))
+        seqs = self.sequences(40, seed=28)
+        seqs += [random_sequence(rng, user_id=100 + i, max_genres=8) for i in range(160)]
         samples = genre_samples(seqs)
-        ds = featurize(samples, probs, FeatureMode.CONCAT)
-        for i, sample in enumerate(samples):
-            for t in range(4):
-                expected = combine(sample.steps[t], atv(sample.steps[t], probs), FeatureMode.CONCAT)
-                assert np.allclose(ds.inputs[i, t], expected)
+        trimmed, dropped = apply_trim_to_dataset(samples, range(0, 19, 3))
+        assert trimmed and dropped
+        for batch in (samples, trimmed):
+            for mode in FeatureMode:
+                ds = featurize(batch, probs, mode)
+                assert ds.inputs.shape == (len(batch), 4, feature_dim(mode))
+                for i, sample in enumerate(batch):
+                    assert np.array_equal(ds.targets[i], sample.target)
+                    for t in range(4):
+                        expected = combine(sample.steps[t], atv(sample.steps[t], probs), mode)
+                        assert np.array_equal(ds.inputs[i, t], expected)
+
+    def test_featurize_no_samples(self):
+        probs = np.full((19, 19), 1.0 / 19)
+        for mode in FeatureMode:
+            ds = featurize([], probs, mode)
+            assert ds.inputs.shape == (0, 4, feature_dim(mode))
+            assert ds.targets.shape == (0, 19)
+
+    def test_featurize_rejects_empty_input_step(self):
+        samples = genre_samples(self.sequences(3, seed=34))
+        steps = samples[1].steps.copy()
+        steps[2] = 0.0
+        samples[1] = GenreSample(steps, samples[1].target)
+        probs = np.full((19, 19), 1.0 / 19)
+        for mode in FeatureMode:
+            with pytest.raises(EmptyGenreSupport):
+                featurize(samples, probs, mode)
 
 
 class TestTransitionModel:
