@@ -54,7 +54,7 @@ movies = load_movies(workdir / "movies.csv")
 print(f"\nloaded {len(movies)} movies; skipped {movies.skipped_no_genre} without genres")
 
 events = load_ratings(workdir / "ratings.csv")
-print(f"loaded {len(events)} rating events (sorted by user, time, movie id)")
+print(f"loaded {len(events)} rating events (in file order; windowing sorts them)")
 
 sequences, dropped = build_sequences(events, movies)
 print(f"built {len(sequences)} sequence(s); dropped {dropped} user(s) below the 5-movie bar")

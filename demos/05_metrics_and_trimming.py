@@ -11,8 +11,8 @@ import numpy as np
 
 from genreseq import (
     ClusterMetrics,
+    Dataset,
     GENRES,
-    GenreSample,
     MovieGenreMatrix,
     apply_trim_to_dataset,
     confusion_counts,
@@ -67,13 +67,15 @@ def one_hot(*names):
         v[genre_index(n)] = 1.0
     return v
 
-samples = [
-    GenreSample(np.stack([one_hot("Action"), one_hot("Action", "War"), one_hot("Drama"), one_hot("Comedy")]),
-                one_hot("Action", "War")),
-    GenreSample(np.stack([one_hot("War"), one_hot("Action"), one_hot("Drama"), one_hot("Comedy")]),
-                one_hot("Action")),
-]
+# Two raw samples: four input movies each, then the 5th-movie target.
+samples = Dataset(
+    np.array([
+        [one_hot("Action"), one_hot("Action", "War"), one_hot("Drama"), one_hot("Comedy")],
+        [one_hot("War"), one_hot("Action"), one_hot("Drama"), one_hot("Comedy")],
+    ]),
+    np.array([one_hot("Action", "War"), one_hot("Action")]),
+)
 masked, dropped = apply_trim_to_dataset(samples, {genre_index("War")})
 print(f"\nmasking 'War' out of 2 samples: kept {len(masked)}, dropped {dropped} "
       "(a movie that was only 'War' loses its whole genre set)")
-print("first kept target:", masked[0].target.astype(int).tolist())
+print("first kept target:", masked.targets[0].astype(int).tolist())

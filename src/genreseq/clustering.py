@@ -50,7 +50,8 @@ def rating_profile(seq: UserSequence) -> RatingProfile:
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Labels and squared distances to the nearest centroid (ties: lowest index)."""
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    # One centroid column at a time, so no (n, k, d) temporary is built.
+    d2 = np.stack([((points - c) ** 2).sum(axis=1) for c in centroids], axis=1)
     labels = np.argmin(d2, axis=1)
     return labels, d2[np.arange(points.shape[0]), labels]
 

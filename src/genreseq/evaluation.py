@@ -20,7 +20,7 @@ import numpy as np
 from .errors import LengthMismatch
 from .genres import N_GENRES
 from .ingest import SEQUENCE_LENGTH, UserSequence
-from .transitions import GenreSample
+from .transitions import Dataset
 
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_TRIM_METRICS = ("precision", "recall")
@@ -157,27 +157,20 @@ def trim_genres(m: MovieGenreMatrix, theta: float) -> tuple[MovieGenreMatrix, fr
     return MovieGenreMatrix(m.cluster, trimmed, m.length), zeroed
 
 
-def apply_trim_to_dataset(
-    samples: Sequence[GenreSample], zeroed: Iterable[int]
-) -> tuple[list[GenreSample], int]:
-    """Mask zeroed genre dimensions out of every input step and target.
+def apply_trim_to_dataset(samples: Dataset, zeroed: Iterable[int]) -> tuple[Dataset, int]:
+    """Mask zeroed genre dimensions out of every raw input step and target.
 
     Dimensions are kept (set to 0), not removed.  A sample is dropped and
     tallied when any of its movies loses its whole genre set, since its
-    transition vector would be undefined.  Returns (samples, dropped).
+    transition vector would be undefined.  Kept samples stay in input
+    order.  Returns (samples, dropped).
     """
     mask = np.ones(N_GENRES)
     mask[list(zeroed)] = 0.0
-    kept: list[GenreSample] = []
-    dropped = 0
-    for sample in samples:
-        steps = sample.steps * mask
-        target = sample.target * mask
-        if np.any(steps.sum(axis=1) == 0) or target.sum() == 0:
-            dropped += 1
-            continue
-        kept.append(GenreSample(steps, target))
-    return kept, dropped
+    steps = samples.inputs * mask
+    targets = samples.targets * mask
+    keep = (steps.sum(axis=2) != 0).all(axis=1) & (targets.sum(axis=1) != 0)
+    return Dataset(steps[keep], targets[keep]), int(np.count_nonzero(~keep))
 
 
 def mean_cluster_metrics(

@@ -45,7 +45,6 @@ from .nets import CellKind, TrainConfig, predict, train
 from .transitions import (
     Dataset,
     FeatureMode,
-    GenreSample,
     TransitionModel,
     featurize,
     genre_samples,
@@ -168,7 +167,7 @@ def _evaluate(params, dataset: Dataset, cluster: int, config: ExperimentConfig) 
 
 
 def _fit_and_score(
-    samples: tuple[list[GenreSample], list[GenreSample]],
+    samples: tuple[Dataset, Dataset],
     probs: np.ndarray,
     cell: CellKind,
     mode: FeatureMode,

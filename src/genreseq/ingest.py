@@ -143,7 +143,7 @@ def load_movies(path: str | Path) -> MovieCatalog:
 
 
 def load_ratings(path: str | Path) -> list[RatingEvent]:
-    """Parse a ratings CSV, sorted by (user, timestamp, movie id)."""
+    """Parse a ratings CSV into events in file order (:func:`build_sequences` sorts)."""
     events: list[RatingEvent] = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -164,7 +164,6 @@ def load_ratings(path: str | Path) -> list[RatingEvent]:
             except ValueError:
                 raise MalformedRow(line, f"unparsable row {row!r}") from None
             events.append(RatingEvent(user_id, movie_id, rating, timestamp))
-    events.sort(key=lambda e: (e.user_id, e.timestamp, e.movie_id))
     return events
 
 

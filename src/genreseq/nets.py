@@ -148,12 +148,45 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
     return x, single
 
 
+def _rnn_cell(x_t: np.ndarray, state: tuple, w: dict) -> tuple[tuple, tuple]:
+    """RNN update on (B, d) / (B, h) arrays: new ``(h,)`` and no extra activations."""
+    (h_prev,) = state
+    h = np.tanh(x_t @ w["U"].T + h_prev @ w["W"].T + w["b"])
+    return (h,), ()
+
+
+def _lstm_cell(x_t: np.ndarray, state: tuple, w: dict) -> tuple[tuple, tuple]:
+    """LSTM update: new ``(h, c)`` and ``(zcat, c_prev, f, i, g, o, tanh_c)``."""
+    h_prev, c_prev = state
+    zcat = np.concatenate([h_prev, x_t], axis=1)
+    f = _sigmoid(zcat @ w["W_f"].T + w["b_f"])
+    i = _sigmoid(zcat @ w["W_i"].T + w["b_i"])
+    g = np.tanh(zcat @ w["W_c"].T + w["b_c"])
+    c = f * c_prev + i * g
+    o = _sigmoid(zcat @ w["W_o"].T + w["b_o"])
+    tanh_c = np.tanh(c)
+    return (o * tanh_c, c), (zcat, c_prev, f, i, g, o, tanh_c)
+
+
+def _gru_cell(x_t: np.ndarray, state: tuple, w: dict) -> tuple[tuple, tuple]:
+    """GRU update: new ``(h,)`` and ``(zcat, acat, z, r, hbar)``."""
+    (h_prev,) = state
+    zcat = np.concatenate([h_prev, x_t], axis=1)
+    z = _sigmoid(zcat @ w["W_z"].T)
+    r = _sigmoid(zcat @ w["W_r"].T)
+    acat = np.concatenate([r * h_prev, x_t], axis=1)
+    hbar = np.tanh(acat @ w["W"].T)
+    return ((1.0 - z) * h_prev + z * hbar,), (zcat, acat, z, r, hbar)
+
+
+_CELLS = {CellKind.RNN: _rnn_cell, CellKind.LSTM: _lstm_cell, CellKind.GRU: _gru_cell}
+
+
 def rnn_step(x_t: np.ndarray, h_prev: np.ndarray, params: NetParams) -> np.ndarray:
     """h_t = tanh(U x_t + W h_prev + b); entries stay inside (-1, 1)."""
     x_t, single = _as_batch(x_t, params.input_dim, "x_t")
     h_prev, _ = _as_batch(h_prev, params.hidden_dim, "h_prev")
-    w = params.weights
-    h = np.tanh(x_t @ w["U"].T + h_prev @ w["W"].T + w["b"])
+    (h,), _ = _rnn_cell(x_t, (h_prev,), params.weights)
     return h[0] if single else h
 
 
@@ -165,30 +198,15 @@ def lstm_step(
     x_t, single = _as_batch(x_t, params.input_dim, "x_t")
     h_prev, _ = _as_batch(h_prev, params.hidden_dim, "h_prev")
     c_prev, _ = _as_batch(c_prev, params.hidden_dim, "c_prev")
-    w = params.weights
-    zcat = np.concatenate([h_prev, x_t], axis=1)
-    f = _sigmoid(zcat @ w["W_f"].T + w["b_f"])
-    i = _sigmoid(zcat @ w["W_i"].T + w["b_i"])
-    g = np.tanh(zcat @ w["W_c"].T + w["b_c"])
-    c = f * c_prev + i * g
-    o = _sigmoid(zcat @ w["W_o"].T + w["b_o"])
-    h = o * np.tanh(c)
-    if single:
-        return h[0], c[0]
-    return h, c
+    (h, c), _ = _lstm_cell(x_t, (h_prev, c_prev), params.weights)
+    return (h[0], c[0]) if single else (h, c)
 
 
 def gru_step(x_t: np.ndarray, h_prev: np.ndarray, params: NetParams) -> np.ndarray:
     """Update/reset-gated step; h_t interpolates h_prev and the candidate."""
     x_t, single = _as_batch(x_t, params.input_dim, "x_t")
     h_prev, _ = _as_batch(h_prev, params.hidden_dim, "h_prev")
-    w = params.weights
-    zcat = np.concatenate([h_prev, x_t], axis=1)
-    z = _sigmoid(zcat @ w["W_z"].T)
-    r = _sigmoid(zcat @ w["W_r"].T)
-    acat = np.concatenate([r * h_prev, x_t], axis=1)
-    hbar = np.tanh(acat @ w["W"].T)
-    h = (1.0 - z) * h_prev + z * hbar
+    (h,), _ = _gru_cell(x_t, (h_prev,), params.weights)
     return h[0] if single else h
 
 
@@ -205,48 +223,19 @@ def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray,
         x = x[None]
     if x.ndim != 3 or x.shape[2] != params.input_dim:
         raise ShapeMismatch(f"inputs: got shape {np.shape(inputs)}, expected (*, T, {params.input_dim})")
-    batch, steps, _ = x.shape
-    hidden = params.hidden_dim
     w = params.weights
+    cell = _CELLS[params.cell]
 
-    h = np.zeros((batch, hidden))
-    cache: dict = {"x": x, "single": single, "h": [h]}
-    if params.cell is CellKind.RNN:
-        for t in range(steps):
-            h = np.tanh(x[:, t] @ w["U"].T + h @ w["W"].T + w["b"])
-            cache["h"].append(h)
-    elif params.cell is CellKind.LSTM:
-        c = np.zeros((batch, hidden))
-        cache.update({"zcat": [], "f": [], "i": [], "g": [], "o": [], "c": [c], "tanh_c": []})
-        for t in range(steps):
-            zcat = np.concatenate([h, x[:, t]], axis=1)
-            f = _sigmoid(zcat @ w["W_f"].T + w["b_f"])
-            i = _sigmoid(zcat @ w["W_i"].T + w["b_i"])
-            g = np.tanh(zcat @ w["W_c"].T + w["b_c"])
-            c = f * cache["c"][-1] + i * g
-            o = _sigmoid(zcat @ w["W_o"].T + w["b_o"])
-            tanh_c = np.tanh(c)
-            h = o * tanh_c
-            for key, val in (("zcat", zcat), ("f", f), ("i", i), ("g", g), ("o", o), ("tanh_c", tanh_c)):
-                cache[key].append(val)
-            cache["c"].append(c)
-            cache["h"].append(h)
-    else:
-        cache.update({"zcat": [], "acat": [], "z": [], "r": [], "hbar": []})
-        for t in range(steps):
-            zcat = np.concatenate([h, x[:, t]], axis=1)
-            z = _sigmoid(zcat @ w["W_z"].T)
-            r = _sigmoid(zcat @ w["W_r"].T)
-            acat = np.concatenate([r * h, x[:, t]], axis=1)
-            hbar = np.tanh(acat @ w["W"].T)
-            h = (1.0 - z) * h + z * hbar
-            for key, val in (("zcat", zcat), ("acat", acat), ("z", z), ("r", r), ("hbar", hbar)):
-                cache[key].append(val)
-            cache["h"].append(h)
+    zeros = np.zeros((x.shape[0], params.hidden_dim))
+    state = (zeros, zeros) if params.cell is CellKind.LSTM else (zeros,)
+    hs, acts = [zeros], []
+    for t in range(x.shape[1]):
+        state, a = cell(x[:, t], state, w)
+        hs.append(state[0])
+        acts.append(a)
 
-    y = _sigmoid(h @ w["V"].T + w["b_out"])
-    cache["y"] = y
-    return (y[0] if single else y), cache
+    y = _sigmoid(state[0] @ w["V"].T + w["b_out"])
+    return (y[0] if single else y), {"x": x, "h": hs, "y": y, "acts": acts}
 
 
 def bce_loss(y: np.ndarray, target: np.ndarray) -> float:
@@ -281,7 +270,7 @@ def backward(cache: dict, target: np.ndarray, params: NetParams) -> dict[str, np
 
     grads: dict[str, np.ndarray] = {}
     dz_out = (y - target) / y.size
-    hs = cache["h"]
+    hs, acts = cache["h"], cache["acts"]
     grads["V"] = dz_out.T @ hs[-1]
     grads["b_out"] = dz_out.sum(axis=0)
     dh = dz_out @ w["V"]
@@ -296,12 +285,10 @@ def backward(cache: dict, target: np.ndarray, params: NetParams) -> dict[str, np
     elif params.cell is CellKind.LSTM:
         dc_next = np.zeros((batch, hidden))
         for t in range(steps - 1, -1, -1):
-            f, i, g, o = cache["f"][t], cache["i"][t], cache["g"][t], cache["o"][t]
-            tanh_c = cache["tanh_c"][t]
-            zcat = cache["zcat"][t]
+            zcat, c_prev, f, i, g, o, tanh_c = acts[t]
             do = dh * tanh_c
             dc = dc_next + dh * o * (1.0 - tanh_c**2)
-            df = dc * cache["c"][t]
+            df = dc * c_prev
             di = dc * g
             dg = dc * i
             dzcat = None
@@ -322,8 +309,7 @@ def backward(cache: dict, target: np.ndarray, params: NetParams) -> dict[str, np
             dc_next = dc * f
     else:
         for t in range(steps - 1, -1, -1):
-            z, r, hbar = cache["z"][t], cache["r"][t], cache["hbar"][t]
-            zcat, acat = cache["zcat"][t], cache["acat"][t]
+            zcat, acat, z, r, hbar = acts[t]
             h_prev = hs[t]
             dhbar = dh * z
             dz_gate = dh * (hbar - h_prev)

@@ -16,13 +16,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import EmptyGenreSupport
 from .genres import GENRES, N_GENRES, is_row_stochastic
-from .ingest import UserSequence
+from .ingest import SEQUENCE_LENGTH, UserSequence
 
 
 class FeatureMode(enum.Enum):
@@ -102,16 +102,8 @@ def combine(genre: np.ndarray, atv_vec: np.ndarray, mode: FeatureMode) -> np.nda
 
 
 @dataclass(frozen=True)
-class GenreSample:
-    """One user's raw training example: 4 input genre rows and a target."""
-
-    steps: np.ndarray  # (4, 19) multi-hot
-    target: np.ndarray  # (19,) multi-hot
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Featurized samples: inputs (N, 4, d) and multi-hot targets (N, 19)."""
+    """Samples as inputs (N, 4, d) and multi-hot targets (N, 19)."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -120,30 +112,31 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def genre_samples(sequences: Iterable[UserSequence]) -> list[GenreSample]:
-    """Split each sequence into its 4 input movies and 5th-movie target."""
-    return [GenreSample(seq.genres[:4].copy(), seq.genres[4].copy()) for seq in sequences]
+def genre_samples(sequences: Iterable[UserSequence]) -> Dataset:
+    """Raw (``GenreOnly``) samples: each sequence's 4 input genre rows and 5th-movie target."""
+    genres = np.array([seq.genres for seq in sequences], dtype=np.float64)
+    genres = genres.reshape(-1, SEQUENCE_LENGTH, N_GENRES)
+    return Dataset(genres[:, :4], genres[:, 4])
 
 
-def featurize(samples: Sequence[GenreSample], probs: np.ndarray, mode: FeatureMode) -> Dataset:
-    """Attach each input movie's ATV and combine per ``mode``.
+def featurize(samples: Dataset, probs: np.ndarray, mode: FeatureMode) -> Dataset:
+    """Attach each input movie's ATV to raw samples and combine per ``mode``.
 
     Bit-identical to :func:`atv` + :func:`combine` per step: each ATV adds
     its support rows in genre order onto 0.0 and divides by the support
     size, the same arithmetic as ``probs[sup].mean(axis=0)``.  (A matmul
     ``steps @ probs`` sums in a different order and is off by ~1e-17.)
+    ``GenreOnly`` returns ``samples`` itself, not a copy.
     """
-    n = len(samples)
-    steps = np.array([s.steps for s in samples], dtype=np.float64).reshape(n, 4, N_GENRES)
-    targets = np.array([s.target for s in samples], dtype=np.float64).reshape(n, N_GENRES)
+    steps = samples.inputs
     support = steps != 0
     sizes = support.sum(axis=2)
     if not sizes.all():
         raise EmptyGenreSupport("no genres set; transition vector undefined")
     if mode is FeatureMode.GENRE_ONLY:
-        return Dataset(steps, targets)
+        return samples
 
-    inputs = np.zeros((n, 4, feature_dim(mode)))
+    inputs = np.zeros((len(samples), 4, feature_dim(mode)))
     out = inputs[:, :, N_GENRES:] if mode is FeatureMode.CONCAT else inputs
     for g in range(N_GENRES):
         np.add(out, probs[g], out=out, where=support[:, :, g, None])
@@ -154,7 +147,7 @@ def featurize(samples: Sequence[GenreSample], probs: np.ndarray, mode: FeatureMo
         out *= steps
     else:
         inputs[:, :, :N_GENRES] = steps
-    return Dataset(inputs, targets)
+    return Dataset(inputs, samples.targets)
 
 
 def build_dataset(

@@ -15,7 +15,7 @@ from genreseq.evaluation import (
     trim_genres,
 )
 from genreseq.genres import genre_index
-from genreseq.transitions import GenreSample
+from genreseq.transitions import Dataset
 
 from .helpers import confusion_oracle, make_sequence, metrics_oracle, random_sequence
 
@@ -226,7 +226,7 @@ class TestTrimGenres:
 
 class TestApplyTrim:
     def sample(self, steps, target):
-        return GenreSample(np.array(steps, dtype=float), np.array(target, dtype=float))
+        return Dataset(np.array([steps], dtype=float), np.array([target], dtype=float))
 
     def vec(self, *indices):
         out = np.zeros(19)
@@ -235,20 +235,20 @@ class TestApplyTrim:
 
     def test_empty_zero_set_is_identity(self):
         s = self.sample([self.vec(0), self.vec(1), self.vec(2), self.vec(3)], self.vec(4))
-        kept, dropped = apply_trim_to_dataset([s], frozenset())
+        kept, dropped = apply_trim_to_dataset(s, frozenset())
         assert dropped == 0
-        assert np.array_equal(kept[0].steps, s.steps)
-        assert np.array_equal(kept[0].target, s.target)
+        assert np.array_equal(kept.inputs, s.inputs)
+        assert np.array_equal(kept.targets, s.targets)
 
     def test_target_masking(self):
         s = self.sample(
             [self.vec(0, 2), self.vec(0, 2), self.vec(0, 2), self.vec(0, 2)], self.vec(0, 2)
         )
-        kept, dropped = apply_trim_to_dataset([s], {0})
+        kept, dropped = apply_trim_to_dataset(s, {0})
         assert dropped == 0
-        assert np.array_equal(kept[0].target, self.vec(2))
+        assert np.array_equal(kept.targets[0], self.vec(2))
         for t in range(4):
-            assert np.array_equal(kept[0].steps[t], self.vec(2))
+            assert np.array_equal(kept.inputs[0, t], self.vec(2))
 
     def test_fully_zeroed_movie_drops_sample(self):
         # The second input movie carries only genre 5: masking genre 5
@@ -256,25 +256,50 @@ class TestApplyTrim:
         s = self.sample(
             [self.vec(0, 5), self.vec(5), self.vec(0), self.vec(0)], self.vec(0)
         )
-        kept, dropped = apply_trim_to_dataset([s], {5})
-        assert kept == []
+        kept, dropped = apply_trim_to_dataset(s, {5})
+        assert len(kept) == 0
         assert dropped == 1
 
     def test_fully_zeroed_target_drops_sample(self):
         s = self.sample(
             [self.vec(0), self.vec(0), self.vec(0), self.vec(0)], self.vec(5)
         )
-        kept, dropped = apply_trim_to_dataset([s], {5})
-        assert kept == []
+        kept, dropped = apply_trim_to_dataset(s, {5})
+        assert len(kept) == 0
         assert dropped == 1
 
     def test_dimensions_kept_not_removed(self):
         s = self.sample(
             [self.vec(0, 1), self.vec(0, 1), self.vec(0, 1), self.vec(0, 1)], self.vec(0, 1)
         )
-        kept, _ = apply_trim_to_dataset([s], {1})
-        assert kept[0].steps.shape == (4, 19)
-        assert kept[0].target.shape == (19,)
+        kept, _ = apply_trim_to_dataset(s, {1})
+        assert kept.inputs.shape == (1, 4, 19)
+        assert kept.targets.shape == (1, 19)
+
+    def test_interleaved_rows_match_per_row_reference(self):
+        # Kept and dropped rows alternate; the kept ones must come out in
+        # input order, each masked exactly as a one-row call masks it.
+        rng = np.random.default_rng(36)
+        zeroed = {0, 3, 7, 11}
+        rows = []
+        for i in range(60):
+            seq = random_sequence(rng, user_id=i, max_genres=2)
+            rows.append((seq.genres[:4], seq.genres[4]))
+        samples = Dataset(np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
+        kept, dropped = apply_trim_to_dataset(samples, zeroed)
+
+        mask = np.ones(19)
+        mask[list(zeroed)] = 0.0
+        expected, kept_flags = [], []
+        for steps, target in rows:
+            steps, target = steps * mask, target * mask
+            kept_flags.append(bool(np.all(steps.sum(axis=1) > 0) and target.sum() > 0))
+            if kept_flags[-1]:
+                expected.append((steps, target))
+        assert np.count_nonzero(np.diff(kept_flags)) >= 4  # kept and dropped interleave
+        assert dropped == len(rows) - len(expected)
+        assert np.array_equal(kept.inputs, np.array([e[0] for e in expected]))
+        assert np.array_equal(kept.targets, np.array([e[1] for e in expected]))
 
 
 class TestMeanClusterMetrics:

@@ -171,6 +171,21 @@ class TestRunExperiment:
         assert mean_row.accuracy == pytest.approx(np.mean([d.accuracy for d in details]))
         assert mean_row.f1 == pytest.approx(np.mean([d.f1 for d in details]))
 
+    def test_weighted_means_weight_by_test_samples(self, tmp_path):
+        details = {}
+        for weighted in (False, True):
+            report = run_experiment(small_config(tmp_path, weighted_means=weighted))
+            for stage, per_cluster in (("AC-mean", report.ac_metrics), ("AT-mean", report.at_metrics)):
+                cluster_rows = per_cluster[("RNN", "Product")]
+                weights = [d.n_samples if weighted else 1 for d in cluster_rows]
+                row = report.get("RNN", "Product", stage)
+                for name in ("recall", "precision", "accuracy", "f1"):
+                    values = [getattr(d, name) for d in cluster_rows]
+                    assert getattr(row, name) == pytest.approx(np.average(values, weights=weights))
+            details[weighted] = report.ac_metrics[("RNN", "Product")]
+        assert details[False] == details[True]
+        assert len({d.n_samples for d in details[True]}) > 1
+
     def test_best_worst_selected_by_f1(self, tmp_path):
         report = run_experiment(small_config(tmp_path))
         details = report.ac_metrics[("RNN", "Product")]

@@ -75,23 +75,13 @@ class TestLoadMovies:
 
 
 class TestLoadRatings:
-    def test_sorted_by_time(self, tmp_path):
+    def test_keeps_file_order(self, tmp_path):
         path = write(
             tmp_path,
             "ratings.csv",
-            "userId,movieId,rating,timestamp\n1,5,4.0,200\n1,6,3.0,100\n",
+            "userId,movieId,rating,timestamp\n2,1,3.0,50\n1,5,4.0,200\n1,6,3.0,100\n",
         )
-        events = load_ratings(path)
-        assert [e.timestamp for e in events] == [100, 200]
-
-    def test_tie_broken_by_movie_id(self, tmp_path):
-        path = write(
-            tmp_path,
-            "ratings.csv",
-            "userId,movieId,rating,timestamp\n1,9,4.0,100\n1,3,3.0,100\n",
-        )
-        events = load_ratings(path)
-        assert [e.movie_id for e in events] == [3, 9]
+        assert [(e.user_id, e.timestamp) for e in load_ratings(path)] == [(2, 50), (1, 200), (1, 100)]
 
     def test_rating_below_range(self, tmp_path):
         path = write(tmp_path, "ratings.csv", "userId,movieId,rating,timestamp\n1,5,0.0,100\n")
@@ -125,6 +115,30 @@ def movie_map():
 
 
 class TestBuildSequences:
+    # load_ratings keeps file order; build_sequences is the one place that
+    # orders events, so these two feed it unsorted rows from a file.
+    def test_sorted_by_time(self, tmp_path, movie_map):
+        path = write(
+            tmp_path,
+            "ratings.csv",
+            "userId,movieId,rating,timestamp\n"
+            "2,1,3.0,50\n1,5,4.0,500\n1,1,3.0,100\n2,2,3.0,10\n1,3,3.0,300\n"
+            "1,6,4.0,600\n1,2,3.0,200\n1,4,3.0,400\n",
+        )
+        (seq,), dropped = build_sequences(load_ratings(path), movie_map)
+        assert dropped == 1
+        assert [e.timestamp for e in seq.events] == [200, 300, 400, 500, 600]
+
+    def test_tie_broken_by_movie_id(self, tmp_path, movie_map):
+        path = write(
+            tmp_path,
+            "ratings.csv",
+            "userId,movieId,rating,timestamp\n"
+            "1,7,4.0,100\n1,3,3.0,100\n1,5,3.0,100\n1,1,3.0,200\n1,6,3.0,100\n1,2,3.0,100\n",
+        )
+        (seq,), _ = build_sequences(load_ratings(path), movie_map)
+        assert [e.movie_id for e in seq.events] == [3, 5, 6, 7, 1]
+
     def test_five_most_recent_kept(self, movie_map):
         events = [event(1, (t % 7) + 1, ts=t) for t in range(1, 8)]
         sequences, dropped = build_sequences(events, movie_map)

@@ -192,6 +192,30 @@ class TestForwardSequence:
         with pytest.raises(ShapeMismatch):
             forward_sequence(np.zeros((4, D + 2)), params)
 
+    @pytest.mark.parametrize("cell", list(CellKind))
+    @pytest.mark.parametrize("shape", [(5, 4, D), (4, D)])
+    def test_hidden_states_equal_chained_steps(self, cell, shape):
+        # forward_sequence and the public *_step functions share one
+        # kernel per cell, so their hidden states agree bit for bit.
+        params = random_params(cell, seed=49, scale=1.0)
+        x = np.random.default_rng(49).uniform(0, 1, shape)
+        _, cache = forward_sequence(x, params)
+        h = np.zeros(shape[:-2] + (H,))
+        c = np.zeros_like(h)
+        chained = [h]
+        for t in range(shape[-2]):
+            x_t = x[..., t, :]
+            if cell is CellKind.RNN:
+                h = rnn_step(x_t, h, params)
+            elif cell is CellKind.LSTM:
+                h, c = lstm_step(x_t, (h, c), params)
+            else:
+                h = gru_step(x_t, h, params)
+            chained.append(h)
+        assert len(cache["h"]) == len(chained)
+        for got, want in zip(cache["h"], chained):
+            assert np.array_equal(got.reshape(want.shape), want)
+
 
 def two_branch_sigmoid(x):
     """The masked two-branch logistic: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""

@@ -6,8 +6,8 @@ from genreseq.evaluation import apply_trim_to_dataset
 from genreseq.genres import GENRES, genre_index
 from genreseq.ingest import SyntheticSpec, generate_synthetic
 from genreseq.transitions import (
+    Dataset,
     FeatureMode,
-    GenreSample,
     TransitionModel,
     atv,
     build_dataset,
@@ -198,24 +198,24 @@ class TestBuildDataset:
             for mode in FeatureMode:
                 ds = featurize(batch, probs, mode)
                 assert ds.inputs.shape == (len(batch), 4, feature_dim(mode))
-                for i, sample in enumerate(batch):
-                    assert np.array_equal(ds.targets[i], sample.target)
+                for i, (steps, target) in enumerate(zip(batch.inputs, batch.targets)):
+                    assert np.array_equal(ds.targets[i], target)
                     for t in range(4):
-                        expected = combine(sample.steps[t], atv(sample.steps[t], probs), mode)
+                        expected = combine(steps[t], atv(steps[t], probs), mode)
                         assert np.array_equal(ds.inputs[i, t], expected)
 
     def test_featurize_no_samples(self):
         probs = np.full((19, 19), 1.0 / 19)
         for mode in FeatureMode:
-            ds = featurize([], probs, mode)
+            ds = featurize(genre_samples([]), probs, mode)
             assert ds.inputs.shape == (0, 4, feature_dim(mode))
             assert ds.targets.shape == (0, 19)
 
     def test_featurize_rejects_empty_input_step(self):
-        samples = genre_samples(self.sequences(3, seed=34))
-        steps = samples[1].steps.copy()
-        steps[2] = 0.0
-        samples[1] = GenreSample(steps, samples[1].target)
+        raw = genre_samples(self.sequences(3, seed=34))
+        steps = raw.inputs.copy()
+        steps[1, 2] = 0.0
+        samples = Dataset(steps, raw.targets)
         probs = np.full((19, 19), 1.0 / 19)
         for mode in FeatureMode:
             with pytest.raises(EmptyGenreSupport):
