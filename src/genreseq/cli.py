@@ -54,6 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--movies", help="movies CSV (movieId,title,genres)")
     parser.add_argument(
         "--synthetic",
+        dest="synthetic_users",
         type=int,
         metavar="N_USERS",
         help="skip files; generate N users from a seeded planted-chain model",
@@ -63,12 +64,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--theta", type=float, help="sub-genre trim fraction (default 0.1)")
     parser.add_argument(
         "--cell",
+        dest="cells",
         action="append",
         choices=[c.value for c in CellKind],
         help="cell kind; repeat for several (default RNN)",
     )
     parser.add_argument(
         "--mode",
+        dest="modes",
         action="append",
         choices=[m.value for m in FeatureMode],
         help="feature mode; repeat for several (default Product)",
@@ -110,26 +113,8 @@ def _merge_settings(args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         settings.update(loaded)
-    overrides = {
-        "ratings": args.ratings,
-        "movies": args.movies,
-        "synthetic_users": args.synthetic,
-        "k": args.k,
-        "eta": args.eta,
-        "theta": args.theta,
-        "cells": args.cell,
-        "modes": args.mode,
-        "seed": args.seed,
-        "split": args.split,
-        "out": args.out,
-        "max_users": args.max_users,
-        "epochs": args.epochs,
-        "hidden_dim": args.hidden_dim,
-        "learning_rate": args.learning_rate,
-        "dump_transitions": args.dump_transitions,
-        "weighted_means": args.weighted_means,
-    }
-    settings.update({k: v for k, v in overrides.items() if v is not None})
+    # Every flag but --config stores under its config key.
+    settings.update({k: v for k, v in vars(args).items() if k != "config" and v is not None})
     return settings
 
 

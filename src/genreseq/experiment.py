@@ -22,9 +22,8 @@ import numpy as np
 
 from .clustering import ClusterModel, kmeans, rating_profile
 from .evaluation import (
-    DEFAULT_THRESHOLD,
-    DEFAULT_TRIM_METRICS,
     ClusterMetrics,
+    Metrics,
     MovieGenreMatrix,
     apply_trim_to_dataset,
     cluster_metrics,
@@ -82,8 +81,6 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str | Path | None = None
     max_users: int | None = None
-    trim_metrics: tuple[str, ...] = DEFAULT_TRIM_METRICS
-    threshold: float = DEFAULT_THRESHOLD
     dump_transitions: bool = False
     weighted_means: bool = False
 
@@ -160,12 +157,6 @@ def _subsample(sequences: list[UserSequence], config: ExperimentConfig) -> list[
     return [sequences[i] for i in sorted(idx)]
 
 
-def _evaluate(params, dataset: Dataset, cluster: int, config: ExperimentConfig) -> ClusterMetrics:
-    probs = predict(params, dataset.inputs)
-    counts = confusion_counts(probs, dataset.targets, config.threshold)
-    return cluster_metrics(cluster, counts, config.trim_metrics)
-
-
 def _fit_and_score(
     samples: tuple[Dataset, Dataset],
     probs: np.ndarray,
@@ -183,44 +174,42 @@ def _fit_and_score(
     train_samples, test_samples = samples
     train_cfg = replace(config.train, seed=seed)
     params = train(featurize(train_samples, probs, mode), cell, train_cfg).params
-    return _evaluate(params, featurize(test_samples, probs, mode), cluster, config)
+    test = featurize(test_samples, probs, mode)
+    return cluster_metrics(cluster, confusion_counts(predict(params, test.inputs), test.targets))
 
 
-def _metrics_row(cell: CellKind, mode: FeatureMode, stage: str, cluster: str, m) -> ReportRow:
-    return ReportRow(
-        cell.value, mode.value, stage, cluster, m.recall, m.precision, m.accuracy, m.f1
-    )
+def _summary(
+    scores: dict[int, ClusterMetrics], weighted: bool
+) -> list[tuple[str, ClusterMetrics | Metrics]]:
+    """(cluster, metrics) of the best and the worst cluster by F1, then of the mean."""
+    best = min(scores, key=lambda c: (-scores[c].f1, c))
+    worst = min(scores, key=lambda c: (scores[c].f1, c))
+    mean = mean_cluster_metrics(list(scores.values()), weighted)
+    return [(str(best), scores[best]), (str(worst), scores[worst]), ("mean", mean)]
 
 
 def run_experiment(config: ExperimentConfig) -> EvalReport:
     """Execute the full pipeline and (optionally) write report files."""
     sequences = _subsample(_load_sequences(config), config)
 
-    global_train, global_test = split_users(
-        sequences, config.split_fraction, derive_seed(config.seed, "split-global")
-    )
-
     profiles = [rating_profile(s) for s in sequences]
     cmodel: ClusterModel = kmeans(profiles, config.k, seed=derive_seed(config.seed, "kmeans"))
     members: dict[int, list[UserSequence]] = defaultdict(list)
     for seq in sequences:
         members[cmodel.assignment[seq.user_id]].append(seq)
-    cluster_ids = sorted(members)
 
-    splits = {
-        c: split_users(
-            members[c], config.split_fraction, derive_seed(config.seed, "split-cluster", c)
+    # Group -1 holds every user (BC); group c holds cluster c (AC, and AT
+    # once trimmed).  Each group has the seed roles of its split and its fits.
+    groups = {-1: (sequences, ("split-global",), ("train-bc",))}
+    groups.update({c: (members[c], ("split-cluster", c), ("train-ac", c)) for c in sorted(members)})
+    probs: dict[int, np.ndarray] = {}
+    samples: dict[int, tuple[Dataset, Dataset]] = {}
+    for g, (users, split_role, _) in groups.items():
+        train_users, test_users = split_users(
+            users, config.split_fraction, derive_seed(config.seed, *split_role)
         )
-        for c in cluster_ids
-    }
-
-    global_tm = TransitionModel.from_sequences(-1, global_train)
-    cluster_tm = {c: TransitionModel.from_sequences(c, splits[c][0]) for c in cluster_ids}
-
-    global_samples = (genre_samples(global_train), genre_samples(global_test))
-    cluster_samples = {
-        c: (genre_samples(splits[c][0]), genre_samples(splits[c][1])) for c in cluster_ids
-    }
+        probs[g] = TransitionModel.from_sequences(g, train_users).probs
+        samples[g] = (genre_samples(train_users), genre_samples(test_users))
 
     rows: list[ReportRow] = []
     ac_details: dict[tuple[str, str], tuple[ClusterMetrics, ...]] = {}
@@ -229,61 +218,37 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     for cell in config.cells:
         for mode in config.modes:
             tags = (cell.value, mode.value)
-            bc_m = _fit_and_score(
-                global_samples, global_tm.probs, cell, mode,
-                derive_seed(config.seed, "train-bc", *tags), -1, config,
-            )
-            rows.append(_metrics_row(cell, mode, "BC", "all", bc_m))
-
-            ac = {
-                c: _fit_and_score(
-                    cluster_samples[c], cluster_tm[c].probs, cell, mode,
-                    derive_seed(config.seed, "train-ac", c, *tags), c, config,
-                )
-                for c in cluster_ids
+            seeds = {g: derive_seed(config.seed, *fit, *tags) for g, (_, _, fit) in groups.items()}
+            scores = {
+                g: _fit_and_score(samples[g], probs[g], cell, mode, seeds[g], g, config)
+                for g in groups
             }
-            best = min(cluster_ids, key=lambda c: (-ac[c].f1, c))
-            worst = min(cluster_ids, key=lambda c: (ac[c].f1, c))
-            ac_mean = mean_cluster_metrics(
-                [ac[c] for c in cluster_ids], config.weighted_means
-            )
-            rows.append(_metrics_row(cell, mode, "AC-best", str(best), ac[best]))
-            rows.append(_metrics_row(cell, mode, "AC-worst", str(worst), ac[worst]))
-            rows.append(_metrics_row(cell, mode, "AC-mean", "mean", ac_mean))
-            rows.append(_metrics_row(cell, mode, "BT-mean", "mean", ac_mean))
-            rows.append(_metrics_row(cell, mode, "BT-worst", str(worst), ac[worst]))
-            ac_details[tags] = tuple(ac[c] for c in cluster_ids)
+            bc = scores.pop(-1)
+            ac_best, ac_worst, ac_mean = _summary(scores, config.weighted_means)
+            ac_details[tags] = tuple(scores.values())
 
-            selected = select_trim_clusters(ac.values(), config.eta)
-            at = dict(ac)
-            for c in sorted(selected):
-                mgm = MovieGenreMatrix.from_sequences(c, members[c])
+            at = dict(scores)
+            for c in sorted(select_trim_clusters(scores.values(), config.eta)):
+                mgm = MovieGenreMatrix.from_sequences(c, groups[c][0])
                 _, zeroed = trim_genres(mgm, config.theta)
                 if not zeroed:
                     continue
-                masked_train, _ = apply_trim_to_dataset(cluster_samples[c][0], zeroed)
-                masked_test, _ = apply_trim_to_dataset(cluster_samples[c][1], zeroed)
-                if not masked_train or not masked_test:
-                    continue
-                at[c] = _fit_and_score(
-                    (masked_train, masked_test), cluster_tm[c].probs, cell, mode,
-                    derive_seed(config.seed, "train-ac", c, *tags), c, config,
-                )
-            at_worst = min(cluster_ids, key=lambda c: (at[c].f1, c))
-            at_mean = mean_cluster_metrics(
-                [at[c] for c in cluster_ids], config.weighted_means
+                trimmed = tuple(apply_trim_to_dataset(d, zeroed)[0] for d in samples[c])
+                if all(trimmed):
+                    at[c] = _fit_and_score(trimmed, probs[c], cell, mode, seeds[c], c, config)
+            _, at_worst, at_mean = _summary(at, config.weighted_means)
+            at_details[tags] = tuple(at.values())
+
+            table = (("all", bc), ac_best, ac_worst, ac_mean, ac_mean, ac_worst, at_worst, at_mean)
+            rows.extend(
+                ReportRow(*tags, stage, cluster, m.recall, m.precision, m.accuracy, m.f1)
+                for stage, (cluster, m) in zip(STAGES, table)
             )
-            rows.append(_metrics_row(cell, mode, "AT-worst", str(at_worst), at[at_worst]))
-            rows.append(_metrics_row(cell, mode, "AT-mean", "mean", at_mean))
-            at_details[tags] = tuple(at[c] for c in cluster_ids)
 
     report = EvalReport(tuple(rows), ac_details, at_details)
     if config.out_dir is not None:
-        transitions = None
-        if config.dump_transitions:
-            transitions = {"all": global_tm.probs}
-            transitions.update({str(c): cluster_tm[c].probs for c in cluster_ids})
-        emit_report(report, config.out_dir, transitions)
+        transitions = {"all" if g < 0 else str(g): p for g, p in probs.items()}
+        emit_report(report, config.out_dir, transitions if config.dump_transitions else None)
     return report
 
 

@@ -70,29 +70,6 @@ def support_names(vec: np.ndarray) -> tuple[str, ...]:
     return tuple(GENRES[i] for i in support(vec))
 
 
-def is_multi_hot(vec: np.ndarray) -> bool:
-    vec = np.asarray(vec)
-    return vec.shape == (N_GENRES,) and bool(np.all((vec == 0.0) | (vec == 1.0)))
-
-
-def is_distribution(vec: np.ndarray, tol: float = 1e-9) -> bool:
-    vec = np.asarray(vec)
-    return (
-        vec.shape == (N_GENRES,)
-        and bool(np.all(vec >= 0.0))
-        and abs(float(vec.sum()) - 1.0) <= tol
-    )
-
-
-def is_counts_matrix(mat: np.ndarray) -> bool:
-    mat = np.asarray(mat)
-    return (
-        mat.shape == (N_GENRES, N_GENRES)
-        and bool(np.all(mat >= 0))
-        and bool(np.all(mat == np.rint(mat)))
-    )
-
-
 def is_row_stochastic(mat: np.ndarray, tol: float = 1e-9) -> bool:
     mat = np.asarray(mat)
     return (

@@ -1,10 +1,12 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from genreseq.cli import main
+from genreseq import experiment
+from genreseq.cli import _CONFIG_KEYS, _build_parser, main
 from genreseq.experiment import (
     STAGES,
     EvalReport,
@@ -238,6 +240,62 @@ class TestRunExperiment:
         assert report.get("RNN", "GenreOnly", "AC-mean").recall > 0.9
 
 
+class TestStageProtocol:
+    """Which seed and how many training users each fit gets, on any build."""
+
+    def test_split_and_fit_seeds_and_train_sizes(self, monkeypatch):
+        splits, fits, models = [], [], []
+        split_users_, train_, kmeans_ = experiment.split_users, experiment.train, experiment.kmeans
+
+        def split(users, fraction, seed):
+            splits.append((seed, len(users)))
+            return split_users_(users, fraction, seed)
+
+        def fit(dataset, cell, config):
+            fits.append((config.seed, len(dataset)))
+            return train_(dataset, cell, config)
+
+        def cluster(*args, **kwargs):
+            models.append(kmeans_(*args, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(experiment, "split_users", split)
+        monkeypatch.setattr(experiment, "train", fit)
+        monkeypatch.setattr(experiment, "kmeans", cluster)
+        config = small_config(modes=(FeatureMode.PRODUCT, FeatureMode.GENRE_ONLY))
+        report = run_experiment(config)
+
+        s = config.seed
+        sizes = Counter(models[0].assignment.values())
+        clusters = sorted(sizes)
+        n_users = sum(sizes.values())
+        n_train = lambda n: math.ceil(config.split_fraction * n)  # noqa: E731
+        assert splits == [(derive_seed(s, "split-global"), n_users)] + [
+            (derive_seed(s, "split-cluster", c), sizes[c]) for c in clusters
+        ]
+
+        at_fits = 0
+        for tags in (("RNN", "Product"), ("RNN", "GenreOnly")):
+            # BC on every user, then AC on each cluster.
+            expected = [(derive_seed(s, "train-bc", *tags), n_train(n_users))]
+            expected += [(derive_seed(s, "train-ac", c, *tags), n_train(sizes[c])) for c in clusters]
+            assert fits[: len(expected)] == expected
+            del fits[: len(expected)]
+            # AT retrains trimmed clusters in order, with the cluster's AC seed,
+            # on its training users less the samples trimming dropped.
+            ac_seed = {derive_seed(s, "train-ac", c, *tags): c for c in clusters}
+            selected = {m.cluster for m in report.ac_metrics[tags] if m.p_min < config.eta}
+            at = []
+            while fits and fits[0][0] in ac_seed:
+                seed, size = fits.pop(0)
+                at.append(ac_seed[seed])
+                assert 0 < size <= n_train(sizes[ac_seed[seed]])
+            assert at == sorted(set(at)) and set(at) <= selected
+            at_fits += len(at)
+        assert fits == []
+        assert at_fits > 0
+
+
 class TestCli:
     def test_synthetic_run(self, tmp_path, capsys):
         out = tmp_path / "results"
@@ -277,3 +335,9 @@ class TestCli:
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["--config", str(cfg)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_every_flag_stores_under_its_config_key():
+    # The CLI merges parsed flags into the config settings by dest name.
+    flags = set(vars(_build_parser().parse_args([]))) - {"config"}
+    assert flags <= set(_CONFIG_KEYS)

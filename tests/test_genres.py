@@ -7,9 +7,6 @@ from genreseq.genres import (
     N_GENRES,
     encode_genres,
     genre_index,
-    is_counts_matrix,
-    is_distribution,
-    is_multi_hot,
     is_row_stochastic,
     support,
     support_names,
@@ -67,19 +64,6 @@ class TestEncodeGenres:
 
 
 class TestValueKinds:
-    def test_multi_hot_check(self):
-        assert is_multi_hot(encode_genres(["War"]))
-        assert not is_multi_hot(np.full(19, 0.5))
-        assert not is_multi_hot(np.zeros(5))
-
-    def test_distribution_check(self):
-        assert is_distribution(np.full(19, 1.0 / 19))
-        assert not is_distribution(np.full(19, 0.06))
-
     def test_matrix_kinds(self):
-        counts = np.zeros((19, 19))
-        counts[0, 1] = 3
-        assert is_counts_matrix(counts)
-        assert not is_counts_matrix(counts + 0.5)
         assert is_row_stochastic(np.full((19, 19), 1.0 / 19))
         assert not is_row_stochastic(np.eye(19) * 0.5)

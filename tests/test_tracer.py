@@ -1,0 +1,62 @@
+"""The benchmark's span tracer still sees every layer a run calls.
+
+``perfbench/tracer.py`` times a run by rebinding the names
+``genreseq.experiment`` looks up at call time.  A refactor that stops
+calling one of those names would make the traced metrics silently wrong,
+so this installs the tracer on a small run (in a subprocess, since it
+rebinds module globals) and checks that the fit counts add up.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer, install, layer_metrics
+from genreseq import experiment
+from genreseq import CellKind, ExperimentConfig, FeatureMode, SyntheticSpec, TrainConfig
+
+planted = np.full((19, 19), 1.0 / 19) * 0.4 + 0.6 * np.eye(19)
+config = ExperimentConfig(
+    synthetic=SyntheticSpec(120, planted, genres_per_movie=(1, 2), seed=5),
+    k=3,
+    cells=(CellKind.RNN,),
+    modes=(FeatureMode.PRODUCT,),
+    train=TrainConfig(epochs=8, hidden_dim=8, seed=0),
+    seed=11,
+)
+tracer = Tracer()
+install(tracer)
+report = experiment.run_experiment(config)
+tracer.dump("trace.json")
+metrics, _ = layer_metrics(json.loads(open("trace.json").read()), 0.0)
+k = len(report.ac_metrics[("RNN", "Product")])
+print(json.dumps({"k": k, "metrics": metrics}))
+"""
+
+
+def test_traced_fit_counts_add_up(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(REPO / "perfbench")],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    m = result["metrics"]
+    # One BC fit, one AC fit per cluster, and the AT retrains.
+    assert m["evaluation.at_fits"] > 0
+    assert m["nets.fits"] == 1 + result["k"] + m["evaluation.at_fits"]
+    assert m["nets.loss_calls"] == m["nets.train_steps"] > 0
+    assert m["clustering.rating_profile_calls"] == 120
+    assert m["transitions.featurize_samples"] > 0
