@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import ClusterModel, kmeans, rating_profile
+from .errors import EmptyDataset
 from .evaluation import (
     ClusterMetrics,
     Metrics,
@@ -99,11 +100,20 @@ class ReportRow:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Aggregate stage rows plus the per-cluster detail behind them."""
+    """Aggregate stage rows plus the per-cluster detail behind them.
+
+    ``untested`` names the clusters with no test sample: they get no fit
+    and stay out of the AC and AT rows.  ``at_skipped[(cell, mode)]`` maps
+    each cluster selected for trimming but not retrained, because the trim
+    emptied its training or test set, to that reason; its AT score is its
+    AC score.
+    """
 
     rows: tuple[ReportRow, ...]
     ac_metrics: dict[tuple[str, str], tuple[ClusterMetrics, ...]] = field(default_factory=dict)
     at_metrics: dict[tuple[str, str], tuple[ClusterMetrics, ...]] = field(default_factory=dict)
+    untested: tuple[int, ...] = ()
+    at_skipped: dict[tuple[str, str], dict[int, str]] = field(default_factory=dict)
 
     def get(self, cell: str, mode: str, stage: str) -> ReportRow:
         for row in self.rows:
@@ -210,10 +220,16 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         )
         probs[g] = TransitionModel.from_sequences(g, train_users).probs
         samples[g] = (genre_samples(train_users), genre_samples(test_users))
+    untested = tuple(c for c in sorted(members) if not samples[c][1])
+    if len(untested) == len(members):
+        raise EmptyDataset(
+            f"no cluster has a test sample ({len(sequences)} users in {len(members)} clusters)"
+        )
 
     rows: list[ReportRow] = []
     ac_details: dict[tuple[str, str], tuple[ClusterMetrics, ...]] = {}
     at_details: dict[tuple[str, str], tuple[ClusterMetrics, ...]] = {}
+    at_skipped: dict[tuple[str, str], dict[int, str]] = {}
 
     for cell in config.cells:
         for mode in config.modes:
@@ -222,12 +238,14 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             scores = {
                 g: _fit_and_score(samples[g], probs[g], cell, mode, seeds[g], g, config)
                 for g in groups
+                if g not in untested
             }
             bc = scores.pop(-1)
             ac_best, ac_worst, ac_mean = _summary(scores, config.weighted_means)
             ac_details[tags] = tuple(scores.values())
 
             at = dict(scores)
+            at_skipped[tags] = {}
             for c in sorted(select_trim_clusters(scores.values(), config.eta)):
                 mgm = MovieGenreMatrix.from_sequences(c, groups[c][0])
                 _, zeroed = trim_genres(mgm, config.theta)
@@ -236,6 +254,9 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
                 trimmed = tuple(apply_trim_to_dataset(d, zeroed)[0] for d in samples[c])
                 if all(trimmed):
                     at[c] = _fit_and_score(trimmed, probs[c], cell, mode, seeds[c], c, config)
+                else:
+                    emptied = [name for name, d in zip(("training", "test"), trimmed) if not d]
+                    at_skipped[tags][c] = f"trim left no {' or '.join(emptied)} samples"
             _, at_worst, at_mean = _summary(at, config.weighted_means)
             at_details[tags] = tuple(at.values())
 
@@ -245,7 +266,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
                 for stage, (cluster, m) in zip(STAGES, table)
             )
 
-    report = EvalReport(tuple(rows), ac_details, at_details)
+    report = EvalReport(tuple(rows), ac_details, at_details, untested, at_skipped)
     if config.out_dir is not None:
         transitions = {"all" if g < 0 else str(g): p for g, p in probs.items()}
         emit_report(report, config.out_dir, transitions if config.dump_transitions else None)

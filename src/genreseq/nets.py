@@ -24,6 +24,16 @@ Update rules:
 
 ``*`` is the element-wise product and ``[a, b]`` concatenation with the
 hidden part first.
+
+Every sequence starts from h_0 = 0 and no gradient flows back past
+t = 0, so some t = 0 work is skipped as dead: the RNN's ``W h_0`` GEMM
+and its add in the forward pass; in the backward pass the gradient
+terms that are zero because they read h_0 (the RNN's ``W`` term, and
+the GRU's ``W_r`` term through dr = dacat * h_0) and every GEMM that
+only passes a gradient back to h_0 (the RNN's ``dh``, the LSTM's four
+``dz @ W_*``, the GRU's ``da @ W`` and two ``dh_prev`` GEMMs).  The
+gated cells' forward GEMMs still read the zero h_0 columns: dropping
+them would change the GEMM operands and so the rounding.
 """
 
 from __future__ import annotations
@@ -148,14 +158,20 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _rnn_cell(x_t: np.ndarray, state: tuple, w: dict) -> tuple[tuple, tuple]:
-    """RNN update on (B, d) / (B, h) arrays: new ``(h,)`` and no extra activations."""
+def _rnn_cell(x_t: np.ndarray, state: tuple, w: dict, out=None) -> tuple[tuple, tuple]:
+    """RNN update on (B, d) / (B, h) arrays: new ``(h,)`` and no extra activations.
+
+    ``h_prev`` None is the zero initial state, so its ``W`` GEMM is skipped.
+    """
     (h_prev,) = state
-    h = np.tanh(x_t @ w["U"].T + h_prev @ w["W"].T + w["b"])
-    return (h,), ()
+    a = x_t @ w["U"].T
+    if h_prev is not None:
+        a += h_prev @ w["W"].T
+    a += w["b"]
+    return (np.tanh(a, out=a if out is None else out),), ()
 
 
-def _lstm_cell(x_t: np.ndarray, state: tuple, w: dict) -> tuple[tuple, tuple]:
+def _lstm_cell(x_t: np.ndarray, state: tuple, w: dict, out=None) -> tuple[tuple, tuple]:
     """LSTM update: new ``(h, c)`` and ``(zcat, c_prev, f, i, g, o, tanh_c)``."""
     h_prev, c_prev = state
     zcat = np.concatenate([h_prev, x_t], axis=1)
@@ -165,10 +181,10 @@ def _lstm_cell(x_t: np.ndarray, state: tuple, w: dict) -> tuple[tuple, tuple]:
     c = f * c_prev + i * g
     o = _sigmoid(zcat @ w["W_o"].T + w["b_o"])
     tanh_c = np.tanh(c)
-    return (o * tanh_c, c), (zcat, c_prev, f, i, g, o, tanh_c)
+    return (np.multiply(o, tanh_c, out=out), c), (zcat, c_prev, f, i, g, o, tanh_c)
 
 
-def _gru_cell(x_t: np.ndarray, state: tuple, w: dict) -> tuple[tuple, tuple]:
+def _gru_cell(x_t: np.ndarray, state: tuple, w: dict, out=None) -> tuple[tuple, tuple]:
     """GRU update: new ``(h,)`` and ``(zcat, acat, z, r, hbar)``."""
     (h_prev,) = state
     zcat = np.concatenate([h_prev, x_t], axis=1)
@@ -176,7 +192,7 @@ def _gru_cell(x_t: np.ndarray, state: tuple, w: dict) -> tuple[tuple, tuple]:
     r = _sigmoid(zcat @ w["W_r"].T)
     acat = np.concatenate([r * h_prev, x_t], axis=1)
     hbar = np.tanh(acat @ w["W"].T)
-    return ((1.0 - z) * h_prev + z * hbar,), (zcat, acat, z, r, hbar)
+    return (np.add((1.0 - z) * h_prev, z * hbar, out=out),), (zcat, acat, z, r, hbar)
 
 
 _CELLS = {CellKind.RNN: _rnn_cell, CellKind.LSTM: _lstm_cell, CellKind.GRU: _gru_cell}
@@ -226,105 +242,153 @@ def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray,
     w = params.weights
     cell = _CELLS[params.cell]
 
-    zeros = np.zeros((x.shape[0], params.hidden_dim))
-    state = (zeros, zeros) if params.cell is CellKind.LSTM else (zeros,)
-    hs, acts = [zeros], []
+    # hs[0] is h_0 = 0 and hs[t + 1] receives h_t.  The RNN is handed None
+    # for h_0, so it skips that GEMM; the gated cells read the zeros.
+    hs = np.zeros((x.shape[1] + 1, x.shape[0], params.hidden_dim))
+    h0 = hs[0]
+    state = {CellKind.RNN: (None,), CellKind.LSTM: (h0, h0), CellKind.GRU: (h0,)}[params.cell]
+    acts = []
     for t in range(x.shape[1]):
-        state, a = cell(x[:, t], state, w)
-        hs.append(state[0])
+        state, a = cell(x[:, t], state, w, hs[t + 1])
         acts.append(a)
 
-    y = _sigmoid(state[0] @ w["V"].T + w["b_out"])
+    y = _sigmoid(hs[-1] @ w["V"].T + w["b_out"])
     return (y[0] if single else y), {"x": x, "h": hs, "y": y, "acts": acts}
 
 
 def bce_loss(y: np.ndarray, target: np.ndarray) -> float:
     """Mean over all cells of -[t ln y + (1 - t) ln(1 - y)], y clipped."""
-    y = np.clip(np.asarray(y, dtype=np.float64), _EPS, 1.0 - _EPS)
+    y = np.asarray(y, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if y.shape != target.shape:
         raise ShapeMismatch(f"y {y.shape} vs target {target.shape}")
-    return float(-np.mean(target * np.log(y) + (1.0 - target) * np.log(1.0 - y)))
+    y = np.minimum(np.maximum(y, _EPS), 1.0 - _EPS)
+    terms = np.log(y)
+    terms *= target
+    np.subtract(1.0, y, out=y)
+    np.log(y, out=y)
+    y *= 1.0 - target
+    terms += y
+    return float(-(np.add.reduce(terms, axis=None) / terms.size))
 
 
-def _accumulate(grads: dict[str, np.ndarray], name: str, term: np.ndarray) -> None:
-    """``grads[name] += term``; the first term is stored as is, not added to 0."""
-    if name in grads:
-        grads[name] += term
+def _sum_steps(out: np.ndarray, dz: np.ndarray, inputs: np.ndarray | None = None) -> None:
+    """``out = sum over t of dz[t].T @ inputs[t]``, or of ``dz[t].sum(axis=0)``.
+
+    Each term gets its own GEMM (or row sum), and the terms are added from
+    the last step down, as a loop accumulating while it walks t backward
+    would add them, so the bits are the same.  Writes every element of
+    ``out``: zeros when ``dz`` has no step.
+    """
+    dz = dz[::-1]
+    if inputs is None:
+        terms = np.add.reduce(dz, axis=1)
     else:
-        grads[name] = term
+        terms = np.matmul(dz.transpose(0, 2, 1), inputs[::-1])
+    np.add.reduce(terms, axis=0, out=out)
 
 
-def backward(cache: dict, target: np.ndarray, params: NetParams) -> dict[str, np.ndarray]:
+def _add_step(out: np.ndarray, first: bool, dz: np.ndarray, inputs: np.ndarray | None = None) -> None:
+    """``out = term`` when ``first``, else ``out += term``.
+
+    ``term`` is ``dz.T @ inputs``, or ``dz.sum(axis=0)`` without ``inputs``.
+    """
+    dst = out if first else None
+    if inputs is None:
+        term = np.add.reduce(dz, axis=0, out=dst)
+    else:
+        term = np.matmul(dz.T, inputs, out=dst)
+    if not first:
+        out += term
+
+
+def backward(
+    cache: dict, target: np.ndarray, params: NetParams, out: dict[str, np.ndarray] | None = None
+) -> dict[str, np.ndarray]:
     """Analytic gradients of the loss for every parameter.
 
     Uses the sigmoid+cross-entropy identity at the head (d loss / d logit
     = (y - t) / cells) and unrolls the chosen cell backward through time.
+    Each gradient is written into ``out[name]`` (fresh arrays when ``out``
+    is None), every element of it, and ``out`` is returned.
     """
     w = params.weights
+    grads = {k: np.empty_like(v) for k, v in w.items()} if out is None else out
     x = cache["x"]
-    batch, steps, _ = x.shape
+    steps = x.shape[1]
     hidden = params.hidden_dim
     y = cache["y"]
     target = np.asarray(target, dtype=np.float64).reshape(y.shape)
 
-    grads: dict[str, np.ndarray] = {}
     dz_out = (y - target) / y.size
     hs, acts = cache["h"], cache["acts"]
-    grads["V"] = dz_out.T @ hs[-1]
-    grads["b_out"] = dz_out.sum(axis=0)
+    np.matmul(dz_out.T, hs[-1], out=grads["V"])
+    np.add.reduce(dz_out, axis=0, out=grads["b_out"])
     dh = dz_out @ w["V"]
 
+    # Each loop walks t down and skips the t = 0 work named in the module
+    # docstring.  The RNN keeps every step's dz, since only dh carries its
+    # recursion, and sums its weight and bias terms after the loop.  The
+    # gated cells write each term into the gradient at the last step and
+    # add it at the others: stacking their per-step arrays as well made
+    # them no faster and raised peak memory at large batches.
     if params.cell is CellKind.RNN:
+        dz = np.square(hs[1:])
+        np.subtract(1.0, dz, out=dz)  # 1 - h_t^2, then dz_t in place
         for t in range(steps - 1, -1, -1):
-            dz = dh * (1.0 - hs[t + 1] ** 2)
-            _accumulate(grads, "U", dz.T @ x[:, t])
-            _accumulate(grads, "W", dz.T @ hs[t])
-            _accumulate(grads, "b", dz.sum(axis=0))
-            dh = dz @ w["W"]
+            np.multiply(dh, dz[t], out=dz[t])
+            if t:
+                dh = dz[t] @ w["W"]
+        _sum_steps(grads["U"], dz, x.transpose(1, 0, 2))
+        _sum_steps(grads["W"], dz[1:], hs[1:-1])
+        _sum_steps(grads["b"], dz)
     elif params.cell is CellKind.LSTM:
-        dc_next = np.zeros((batch, hidden))
+        dc_next = np.zeros_like(dh)
         for t in range(steps - 1, -1, -1):
+            first = t == steps - 1
             zcat, c_prev, f, i, g, o, tanh_c = acts[t]
             do = dh * tanh_c
             dc = dc_next + dh * o * (1.0 - tanh_c**2)
             df = dc * c_prev
             di = dc * g
             dg = dc * i
-            dzcat = None
-            for name, dz in (
+            gates = (
                 ("f", df * f * (1.0 - f)),
                 ("i", di * i * (1.0 - i)),
                 ("o", do * o * (1.0 - o)),
                 ("c", dg * (1.0 - g**2)),
-            ):
-                _accumulate(grads, f"W_{name}", dz.T @ zcat)
-                _accumulate(grads, f"b_{name}", dz.sum(axis=0))
-                term = dz @ w[f"W_{name}"]
-                if dzcat is None:
-                    dzcat = term
-                else:
-                    dzcat += term
-            dh = dzcat[:, :hidden]
-            dc_next = dc * f
+            )
+            for name, dz in gates:
+                _add_step(grads[f"W_{name}"], first, dz, zcat)
+                _add_step(grads[f"b_{name}"], first, dz)
+            if t:
+                dzcat = gates[0][1] @ w["W_f"]
+                for name, dz in gates[1:]:
+                    dzcat += dz @ w[f"W_{name}"]
+                dh = dzcat[:, :hidden]
+                dc_next = dc * f
     else:
         for t in range(steps - 1, -1, -1):
+            first = t == steps - 1
             zcat, acat, z, r, hbar = acts[t]
             h_prev = hs[t]
             dhbar = dh * z
             dz_gate = dh * (hbar - h_prev)
-            dh_prev = dh * (1.0 - z)
             da = dhbar * (1.0 - hbar**2)
-            _accumulate(grads, "W", da.T @ acat)
-            dacat = da @ w["W"]
-            dr = dacat[:, :hidden] * h_prev
-            dh_prev += dacat[:, :hidden] * r
+            _add_step(grads["W"], first, da, acat)
             dzz = dz_gate * z * (1.0 - z)
-            dzr = dr * r * (1.0 - r)
-            _accumulate(grads, "W_z", dzz.T @ zcat)
-            _accumulate(grads, "W_r", dzr.T @ zcat)
-            dh_prev += (dzz @ w["W_z"])[:, :hidden] + (dzr @ w["W_r"])[:, :hidden]
-            dh = dh_prev
+            _add_step(grads["W_z"], first, dzz, zcat)
+            if t:
+                dh_prev = dh * (1.0 - z)
+                dacat = da @ w["W"]
+                dr = dacat[:, :hidden] * h_prev
+                dh_prev += dacat[:, :hidden] * r
+                dzr = dr * r * (1.0 - r)
+                _add_step(grads["W_r"], first, dzr, zcat)
+                dh_prev += (dzz @ w["W_z"])[:, :hidden] + (dzr @ w["W_r"])[:, :hidden]
+                dh = dh_prev
+        if steps == 1:
+            grads["W_r"][...] = 0.0  # h_0 = 0 leaves W_r no term
     return grads
 
 
@@ -360,10 +424,13 @@ def train(dataset: Dataset, cell: CellKind, config: TrainConfig) -> TrainResult:
         rng=rng,
     )
     # Parameters, gradient and velocity each live in one flat buffer (the
-    # weights dict holds views into it), so the momentum update is a few
-    # whole-buffer ufuncs instead of a few per tensor.
-    flat, params.weights = _flat_views(params.weights)
+    # weights dict holds views into it, and backward writes into views of
+    # the gradient), so the momentum update is a few whole-buffer ufuncs
+    # instead of a few per tensor.
+    flat = np.concatenate([v.ravel() for v in params.weights.values()])
+    params.weights = _views(flat, params.weights)
     grad = np.empty_like(flat)
+    grads = _views(grad, params.weights)
     velocity = np.zeros_like(flat)
     losses: list[float] = []
     for _ in range(config.epochs):
@@ -375,8 +442,7 @@ def train(dataset: Dataset, cell: CellKind, config: TrainConfig) -> TrainResult:
             tb = dataset.targets[idx]
             yb, cache = forward_sequence(xb, params)
             total += bce_loss(yb, tb) * idx.size
-            grads = backward(cache, tb, params)
-            np.concatenate([grads[k].ravel() for k in params.weights], out=grad)
+            backward(cache, tb, params, out=grads)
             velocity *= config.momentum
             grad *= config.learning_rate
             velocity -= grad
@@ -385,15 +451,14 @@ def train(dataset: Dataset, cell: CellKind, config: TrainConfig) -> TrainResult:
     return TrainResult(params, tuple(losses))
 
 
-def _flat_views(weights: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Copy ``weights`` into one flat buffer; return it and a view per name."""
-    flat = np.concatenate([v.ravel() for v in weights.values()])
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views into ``flat``, one per name in ``like`` with its shape, packed in order."""
     views: dict[str, np.ndarray] = {}
     offset = 0
-    for name, v in weights.items():
+    for name, v in like.items():
         views[name] = flat[offset : offset + v.size].reshape(v.shape)
         offset += v.size
-    return flat, views
+    return views
 
 
 def save_checkpoint(params: NetParams, path: str | Path) -> Path:

@@ -7,6 +7,7 @@ import pytest
 
 from genreseq import experiment
 from genreseq.cli import _CONFIG_KEYS, _build_parser, main
+from genreseq.errors import EmptyDataset
 from genreseq.experiment import (
     STAGES,
     EvalReport,
@@ -196,7 +197,52 @@ class TestRunExperiment:
         worst_row = report.get("RNN", "Product", "AC-worst")
         assert best_row.f1 == pytest.approx(max(f1s))
         assert worst_row.f1 == pytest.approx(min(f1s))
-        assert best_row.cluster == str(int(np.argmax(f1s)))
+        assert best_row.cluster == str(details[int(np.argmax(f1s))].cluster)
+
+    def test_untested_clusters_left_out(self, monkeypatch):
+        # In small_config cluster 1 has 3 users, all of whom train.
+        fitted = []
+        fit_and_score = experiment._fit_and_score
+
+        def fit(samples, probs, cell, mode, seed, cluster, config):
+            fitted.append(cluster)
+            return fit_and_score(samples, probs, cell, mode, seed, cluster, config)
+
+        monkeypatch.setattr(experiment, "_fit_and_score", fit)
+        report = run_experiment(small_config())
+        assert report.untested == (1,)
+        assert 1 not in fitted
+        for details in (report.ac_metrics, report.at_metrics):
+            assert [d.cluster for d in details[("RNN", "Product")]] == [0, 2]
+        assert {r.cluster for r in report.rows} == {"all", "mean", "0", "2"}
+
+    def test_no_tested_cluster_raises(self):
+        # 12 users in 7 clusters: no cluster has the 5 users a test user needs.
+        config = small_config(
+            synthetic=SyntheticSpec(12, np.full((19, 19), 1.0 / 19), seed=5), k=7
+        )
+        with pytest.raises(EmptyDataset, match="no cluster has a test sample"):
+            run_experiment(config)
+
+    def test_skipped_at_retrain_recorded(self, monkeypatch):
+        trims = []
+        apply_trim = experiment.apply_trim_to_dataset
+
+        def trim(samples, zeroed):
+            trimmed, dropped = apply_trim(samples, zeroed)
+            trims.append((len(samples), dropped))
+            return trimmed, dropped
+
+        monkeypatch.setattr(experiment, "apply_trim_to_dataset", trim)
+        report = run_experiment(small_config())
+        tags = ("RNN", "Product")
+        # Cluster 2's trim drops all 19 of its test samples, so it is not retrained.
+        assert (19, 19) in trims
+        assert report.at_skipped == {tags: {2: "trim left no test samples"}}
+        ac = {d.cluster: d for d in report.ac_metrics[tags]}
+        at = {d.cluster: d for d in report.at_metrics[tags]}
+        assert at[2] == ac[2]
+        assert at[0] != ac[0]
 
     def test_bt_rows_copy_ac_rows(self, tmp_path):
         report = run_experiment(small_config(tmp_path))
@@ -273,6 +319,10 @@ class TestStageProtocol:
         assert splits == [(derive_seed(s, "split-global"), n_users)] + [
             (derive_seed(s, "split-cluster", c), sizes[c]) for c in clusters
         ]
+        # A cluster whose users all train has nothing to score, so it gets no fit.
+        assert report.untested == tuple(c for c in clusters if n_train(sizes[c]) == sizes[c])
+        assert report.untested
+        clusters = [c for c in clusters if c not in report.untested]
 
         at_fits = 0
         for tags in (("RNN", "Product"), ("RNN", "GenreOnly")):

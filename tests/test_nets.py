@@ -11,6 +11,7 @@ from genreseq.nets import (
     NetParams,
     TrainConfig,
     _sigmoid,
+    _sum_steps,
     backward,
     bce_loss,
     forward_sequence,
@@ -251,6 +252,15 @@ class TestBceLoss:
         t[2] = 1.0
         assert bce_loss(t.copy(), t) < 1e-6
 
+    def test_bit_identical_to_clip_and_mean(self):
+        rng = np.random.default_rng(58)
+        y = rng.uniform(0, 1, (33, 19))
+        y.flat[:6] = [0.0, 1.0, 1e-9, 1.0 - 1e-9, 1e-300, 0.5]
+        t = (rng.uniform(size=y.shape) < 0.3).astype(float)
+        clipped = np.clip(y, 1e-7, 1.0 - 1e-7)
+        expected = -np.mean(t * np.log(clipped) + (1.0 - t) * np.log(1.0 - clipped))
+        assert np.float64(bce_loss(y, t)).view(np.uint64) == np.float64(expected).view(np.uint64)
+
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(49)
         for _ in range(10):
@@ -263,14 +273,30 @@ class TestBackward:
     @pytest.mark.parametrize("cell", list(CellKind))
     def test_gradients_match_finite_differences(self, cell):
         rng = np.random.default_rng(50)
-        for trial in range(3):
+        for trial, steps in enumerate((4, 4, 4, 1)):
             params = random_params(cell, seed=300 + trial)
-            x = rng.uniform(0, 1, (4, D))
+            x = rng.uniform(0, 1, (steps, D))
             t = (rng.uniform(size=19) < 0.3).astype(float)
             _, cache = forward_sequence(x, params)
             analytic = backward(cache, t, params)
             numeric = fd_gradients(params, x, t)
             assert max_relative_error(analytic, numeric) < 1e-4
+
+    @pytest.mark.parametrize("cell", list(CellKind))
+    @pytest.mark.parametrize("steps", [1, 2, 4])
+    def test_out_buffers_match_allocating_path(self, cell, steps):
+        params = random_params(cell, seed=57)
+        rng = np.random.default_rng(57)
+        x = rng.uniform(0, 1, (5, steps, D))
+        t = (rng.uniform(size=(5, 19)) < 0.3).astype(float)
+        _, cache = forward_sequence(x, params)
+        fresh = backward(cache, t, params)
+        # NaN marks any element backward leaves as it found it.
+        out = {k: np.full_like(v, np.nan) for k, v in params.weights.items()}
+        assert backward(cache, t, params, out=out) is out
+        for key, grad in fresh.items():
+            assert not np.isnan(out[key]).any(), key
+            assert np.array_equal(out[key].view(np.uint64), grad.view(np.uint64)), key
 
     def test_output_bias_closed_form(self):
         # With a mean-over-genres loss the head bias gradient for one
@@ -318,6 +344,26 @@ def constant_dataset(n=10, seed=53):
     t = np.zeros(19)
     t[[0, 7]] = 1.0
     return Dataset(np.tile(x, (n, 1, 1)), np.tile(t, (n, 1)))
+
+
+class TestSumSteps:
+    @pytest.mark.parametrize("steps", [1, 2, 4])
+    def test_bit_identical_to_backward_walking_loop(self, steps):
+        rng = np.random.default_rng(59)
+        dz = rng.normal(size=(steps, 7, H)) * 10.0 ** rng.integers(-8, 8, size=(steps, 1, 1))
+        inputs = rng.normal(size=(steps, 7, D))
+        for args, term in (((inputs,), lambda t: dz[t].T @ inputs[t]), ((), lambda t: dz[t].sum(axis=0))):
+            expected = term(steps - 1)
+            for t in range(steps - 2, -1, -1):
+                expected += term(t)
+            out = np.full_like(expected, np.nan)
+            _sum_steps(out, dz, *args)
+            assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+    def test_no_step_writes_zeros(self):
+        out = np.full((H, D), np.nan)
+        _sum_steps(out, np.zeros((0, 7, H)), np.zeros((0, 7, D)))
+        assert np.array_equal(out, np.zeros((H, D)))
 
 
 class TestTrain:
