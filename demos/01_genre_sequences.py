@@ -2,7 +2,7 @@
 """Genre alphabet, multi-hot encoding, and 5-movie user windows.
 
 Builds a toy MovieLens-format pair of CSV files, loads them, and shows
-how rating events turn into per-user chronological sequences: genre-less
+how rating rows turn into a table of per-user 5-movie windows: genre-less
 movies are skipped, users with fewer than five usable events drop out,
 and only the five most recent events survive.
 """
@@ -53,14 +53,13 @@ workdir = Path(tempfile.mkdtemp(prefix="genreseq_demo_"))
 movies = load_movies(workdir / "movies.csv")
 print(f"\nloaded {len(movies)} movies; skipped {movies.skipped_no_genre} without genres")
 
-events = load_ratings(workdir / "ratings.csv")
-print(f"loaded {len(events)} rating events (in file order; windowing sorts them)")
+ratings = load_ratings(workdir / "ratings.csv")
+print(f"loaded {len(ratings)} rating rows as columns {ratings.dtype.names} "
+      "(in file order; windowing sorts them)")
 
-sequences, dropped = build_sequences(events, movies)
-print(f"built {len(sequences)} sequence(s); dropped {dropped} user(s) below the 5-movie bar")
+users, dropped = build_sequences(ratings, movies)
+print(f"built {len(users)} user window(s); dropped {dropped} user(s) below the 5-movie bar")
 
-seq = sequences[0]
-print(f"\nuser {seq.user_id} window (five most recent):")
-for event, row in zip(seq.events, seq.genres):
-    print(f"  t={event.timestamp}  movie={event.movie_id}  rating={event.rating}  "
-          f"genres={', '.join(support_names(row))}")
+print(f"\nuser {users.user_id[0]} window (five most recent):")
+for ts, movie, rating, row in zip(users.timestamp[0], users.movie_id[0], users.rating[0], users.genres[0]):
+    print(f"  t={ts}  movie={movie}  rating={rating}  genres={', '.join(support_names(row))}")

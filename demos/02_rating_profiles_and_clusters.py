@@ -11,8 +11,7 @@ import numpy as np
 
 from genreseq import (
     GENRES,
-    RatingEvent,
-    UserSequence,
+    Users,
     assign_cluster,
     encode_genres,
     kmeans,
@@ -22,36 +21,41 @@ from genreseq import (
 rng = np.random.default_rng(0)
 
 
-def make_user(user_id, loved, rating_pool):
-    """A user who watches movies from `loved` genres at a rating level."""
-    genre_rows = []
-    events = []
-    for t in range(5):
-        names = list(rng.choice(loved, size=2, replace=False))
-        genre_rows.append(encode_genres(names))
-        rating = float(rng.choice(rating_pool))
-        events.append(RatingEvent(user_id, 100 + t, rating, 1000 + 10 * t))
-    return UserSequence(user_id, tuple(events), np.stack(genre_rows))
+def make_users(first_id, n, loved, rating_pool):
+    """n users who watch movies from `loved` genres at a rating level."""
+    genres = np.array(
+        [[encode_genres(rng.choice(loved, size=2, replace=False)) for _ in range(5)] for _ in range(n)]
+    )
+    return Users(
+        user_id=np.arange(first_id, first_id + n),
+        movie_id=np.tile(100 + np.arange(5), (n, 1)),
+        rating=rng.choice(rating_pool, size=(n, 5)),
+        timestamp=np.tile(1000 + 10 * np.arange(5), (n, 1)),
+        genres=genres,
+    )
 
 
-action_fans = [make_user(i, ["Action", "Thriller", "Crime"], [4.0, 4.5, 5.0]) for i in range(1, 31)]
-romance_fans = [make_user(i, ["Romance", "Comedy", "Drama"], [3.5, 4.0]) for i in range(31, 61)]
-sequences = action_fans + romance_fans
+def profiles(users):
+    return np.array([rating_profile(g, r) for g, r in zip(users.genres, users.rating)])
 
-profiles = [rating_profile(s) for s in sequences]
+
+action_fans = profiles(make_users(1, 30, ["Action", "Thriller", "Crime"], [4.0, 4.5, 5.0]))
+romance_fans = profiles(make_users(31, 30, ["Romance", "Comedy", "Drama"], [3.5, 4.0]))
+points = np.concatenate([action_fans, romance_fans])
+
 print("one action fan's profile (nonzero entries):")
-for j, value in enumerate(profiles[0].values):
+for j, value in enumerate(points[0]):
     if value > 0:
         print(f"  {GENRES[j]:<10} {value:.2f}")
 
-model = kmeans(profiles, k=2, seed=7)
+model = kmeans(points, k=2, seed=7)
 print(f"\nk-means with k=2: inertia {model.inertia:.2f} after {len(model.inertia_history)} recorded steps")
 print("inertia history (always non-increasing):",
       [round(v, 1) for v in model.inertia_history])
 
-action_clusters = {model.assignment[s.user_id] for s in action_fans}
-romance_clusters = {model.assignment[s.user_id] for s in romance_fans}
+action_clusters = set(model.labels[:30].tolist())
+romance_clusters = set(model.labels[30:].tolist())
 print(f"action fans land in cluster(s) {action_clusters}, romance fans in {romance_clusters}")
 
-newcomer = rating_profile(make_user(999, ["Action", "Crime"], [4.5, 5.0]))
+newcomer = profiles(make_users(999, 1, ["Action", "Crime"], [4.5, 5.0]))[0]
 print(f"a new action-leaning user goes to cluster {assign_cluster(newcomer, model)}")

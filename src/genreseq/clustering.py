@@ -9,12 +9,10 @@ explicit seed so runs reproduce exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import TooFewUsers
-from .ingest import UserSequence
 
 DEFAULT_K = 7
 DEFAULT_MAX_ITER = 300
@@ -22,30 +20,24 @@ DEFAULT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class RatingProfile:
-    """Average rating per genre for one user (0 = genre unseen)."""
-
-    user_id: int
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class ClusterModel:
-    """k centroids plus the user -> cluster assignment they induce."""
+    """k centroids plus the cluster label of each clustered point, in input order."""
 
     k: int
     centroids: np.ndarray
-    assignment: dict[int, int]
+    labels: np.ndarray
     inertia: float
     inertia_history: tuple[float, ...]
 
 
-def rating_profile(seq: UserSequence) -> RatingProfile:
-    """Mean rating over the user's movies containing each genre."""
-    counts = seq.genres.sum(axis=0)
-    sums = seq.genres.T @ seq.ratings
-    values = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    return RatingProfile(seq.user_id, values)
+def rating_profile(genres: np.ndarray, ratings: np.ndarray) -> np.ndarray:
+    """Mean rating over the user's movies containing each genre (0 = genre unseen).
+
+    ``genres`` is one user's (5, 19) window and ``ratings`` its (5,) ratings.
+    """
+    counts = genres.sum(axis=0)
+    sums = genres.T @ ratings
+    return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,13 +66,13 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def kmeans(
-    profiles: Sequence[RatingProfile],
+    profiles: np.ndarray,
     k: int = DEFAULT_K,
     seed: int = 0,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
 ) -> ClusterModel:
-    """Lloyd iterations from seeded k-means++ starts.
+    """Lloyd iterations from seeded k-means++ starts over (n, 19) profiles.
 
     Stops when the largest centroid shift falls below ``tol`` or after
     ``max_iter`` iterations.  An empty cluster is reseeded to the point
@@ -89,9 +81,9 @@ def kmeans(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > len(profiles):
-        raise TooFewUsers(f"k={k} exceeds {len(profiles)} profiles")
-    points = np.stack([p.values for p in profiles]).astype(np.float64)
+    points = np.asarray(profiles, dtype=np.float64)
+    if k > points.shape[0]:
+        raise TooFewUsers(f"k={k} exceeds {points.shape[0]} profiles")
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(points, k, rng)
 
@@ -122,11 +114,10 @@ def kmeans(
     labels, d2 = _nearest(points, centroids)
     inertia = float(d2.sum())
     history.append(inertia)
-    assignment = {p.user_id: int(labels[i]) for i, p in enumerate(profiles)}
-    return ClusterModel(k, centroids, assignment, inertia, tuple(history))
+    return ClusterModel(k, centroids, labels, inertia, tuple(history))
 
 
-def assign_cluster(profile: RatingProfile, model: ClusterModel) -> int:
-    """Index of the nearest centroid (ties go to the lowest index)."""
-    d2 = ((model.centroids - profile.values) ** 2).sum(axis=1)
+def assign_cluster(profile: np.ndarray, model: ClusterModel) -> int:
+    """Index of the centroid nearest a rating profile (ties go to the lowest index)."""
+    d2 = ((model.centroids - profile) ** 2).sum(axis=1)
     return int(np.argmin(d2))

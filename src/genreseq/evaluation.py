@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import LengthMismatch
 from .genres import N_GENRES
-from .ingest import SEQUENCE_LENGTH, UserSequence
+from .ingest import SEQUENCE_LENGTH, Users
 from .transitions import Dataset
 
 DEFAULT_THRESHOLD = 0.5
@@ -135,9 +135,9 @@ class MovieGenreMatrix:
     length: int
 
     @classmethod
-    def from_sequences(cls, cluster: int, sequences: Sequence[UserSequence]) -> "MovieGenreMatrix":
-        counts = np.stack([seq.genres.sum(axis=0) for seq in sequences]).astype(np.int64)
-        return cls(cluster, counts, SEQUENCE_LENGTH * len(sequences))
+    def from_sequences(cls, cluster: int, users: Users) -> "MovieGenreMatrix":
+        counts = users.genres.sum(axis=1).astype(np.int64)
+        return cls(cluster, counts, SEQUENCE_LENGTH * len(users))
 
 
 def trim_genres(m: MovieGenreMatrix, theta: float) -> tuple[MovieGenreMatrix, frozenset[int]]:

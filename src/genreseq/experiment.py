@@ -13,10 +13,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -33,9 +31,10 @@ from .evaluation import (
     select_trim_clusters,
     trim_genres,
 )
+from .genres import N_GENRES
 from .ingest import (
     SyntheticSpec,
-    UserSequence,
+    Users,
     build_sequences,
     generate_synthetic,
     load_movies,
@@ -106,7 +105,8 @@ class EvalReport:
     and stay out of the AC and AT rows.  ``at_skipped[(cell, mode)]`` maps
     each cluster selected for trimming but not retrained, because the trim
     emptied its training or test set, to that reason; its AT score is its
-    AC score.
+    AC score.  ``funnel`` counts the data left after each ingest step (see
+    :func:`run_experiment`); it stays out of the report files.
     """
 
     rows: tuple[ReportRow, ...]
@@ -114,6 +114,7 @@ class EvalReport:
     at_metrics: dict[tuple[str, str], tuple[ClusterMetrics, ...]] = field(default_factory=dict)
     untested: tuple[int, ...] = ()
     at_skipped: dict[tuple[str, str], dict[int, str]] = field(default_factory=dict)
+    funnel: dict[str, int] = field(default_factory=dict)
 
     def get(self, cell: str, mode: str, stage: str) -> ReportRow:
         for row in self.rows:
@@ -133,38 +134,40 @@ def derive_seed(*parts: int | str) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-def split_users(
-    sequences: Sequence[UserSequence], fraction: float, seed: int
-) -> tuple[list[UserSequence], list[UserSequence]]:
-    """Seeded shuffle; first ceil(fraction * N) users train, rest test."""
+def split_users(users: Users, fraction: float, seed: int) -> tuple[Users, Users]:
+    """Seeded shuffle; the first ceil(fraction * N) users train, the rest test."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
-    n = len(sequences)
+    n = len(users)
     n_train = math.ceil(fraction * n)
     perm = np.random.default_rng(seed).permutation(n)
-    train_set = [sequences[i] for i in perm[:n_train]]
-    test_set = [sequences[i] for i in perm[n_train:]]
-    return train_set, test_set
+    return users[perm[:n_train]], users[perm[n_train:]]
 
 
-def _load_sequences(config: ExperimentConfig) -> list[UserSequence]:
+def _load_users(config: ExperimentConfig) -> tuple[Users, dict[str, int]]:
+    """The eligible users and the funnel counts of how ingest got to them."""
     if config.synthetic is not None:
-        sequences, _ = generate_synthetic(config.synthetic)
-        return sequences
+        users, _ = generate_synthetic(config.synthetic)
+        return users, {"users_kept": len(users)}
     if config.ratings_path is None or config.movies_path is None:
         raise ValueError("config needs ratings_path and movies_path or a synthetic spec")
     movies = load_movies(config.movies_path)
-    events = load_ratings(config.ratings_path)
-    sequences, _ = build_sequences(events, movies)
-    return sequences
+    ratings = load_ratings(config.ratings_path)
+    users, dropped = build_sequences(ratings, movies)
+    return users, {
+        "rating_rows": len(ratings),
+        "movies_skipped_no_genre": movies.skipped_no_genre,
+        "users_dropped": dropped,
+        "users_kept": len(users),
+    }
 
 
-def _subsample(sequences: list[UserSequence], config: ExperimentConfig) -> list[UserSequence]:
-    if config.max_users is None or len(sequences) <= config.max_users:
-        return sequences
+def _subsample(users: Users, config: ExperimentConfig) -> Users:
+    if config.max_users is None or len(users) <= config.max_users:
+        return users
     rng = np.random.default_rng(derive_seed(config.seed, "sample"))
-    idx = rng.choice(len(sequences), size=config.max_users, replace=False)
-    return [sequences[i] for i in sorted(idx)]
+    idx = rng.choice(len(users), size=config.max_users, replace=False)
+    return users[np.sort(idx)]
 
 
 def _fit_and_score(
@@ -199,31 +202,40 @@ def _summary(
 
 
 def run_experiment(config: ExperimentConfig) -> EvalReport:
-    """Execute the full pipeline and (optionally) write report files."""
-    sequences = _subsample(_load_sequences(config), config)
+    """Execute the full pipeline and (optionally) write report files.
 
-    profiles = [rating_profile(s) for s in sequences]
-    cmodel: ClusterModel = kmeans(profiles, config.k, seed=derive_seed(config.seed, "kmeans"))
-    members: dict[int, list[UserSequence]] = defaultdict(list)
-    for seq in sequences:
-        members[cmodel.assignment[seq.user_id]].append(seq)
+    The report's ``funnel`` holds ``users_kept`` (eligible users) and
+    ``users_after_max_users``; on CSV input also ``rating_rows``,
+    ``movies_skipped_no_genre`` and ``users_dropped`` (fewer than five
+    rated movies with genres).
+    """
+    users, funnel = _load_users(config)
+    users = _subsample(users, config)
+    funnel["users_after_max_users"] = len(users)
+
+    profiles = [rating_profile(g, r) for g, r in zip(users.genres, users.rating)]
+    points = np.array(profiles).reshape(len(users), N_GENRES)
+    cmodel: ClusterModel = kmeans(points, config.k, seed=derive_seed(config.seed, "kmeans"))
+    clusters = np.unique(cmodel.labels).tolist()
 
     # Group -1 holds every user (BC); group c holds cluster c (AC, and AT
-    # once trimmed).  Each group has the seed roles of its split and its fits.
-    groups = {-1: (sequences, ("split-global",), ("train-bc",))}
-    groups.update({c: (members[c], ("split-cluster", c), ("train-ac", c)) for c in sorted(members)})
+    # once trimmed).  Each group has its rows of ``users`` (selected when
+    # needed, so no group's copy outlives its use) and the seed roles of
+    # its split and its fits.
+    groups = {-1: (slice(None), ("split-global",), ("train-bc",))}
+    groups.update({c: (cmodel.labels == c, ("split-cluster", c), ("train-ac", c)) for c in clusters})
     probs: dict[int, np.ndarray] = {}
     samples: dict[int, tuple[Dataset, Dataset]] = {}
-    for g, (users, split_role, _) in groups.items():
+    for g, (selection, split_role, _) in groups.items():
         train_users, test_users = split_users(
-            users, config.split_fraction, derive_seed(config.seed, *split_role)
+            users[selection], config.split_fraction, derive_seed(config.seed, *split_role)
         )
         probs[g] = TransitionModel.from_sequences(g, train_users).probs
         samples[g] = (genre_samples(train_users), genre_samples(test_users))
-    untested = tuple(c for c in sorted(members) if not samples[c][1])
-    if len(untested) == len(members):
+    untested = tuple(c for c in clusters if not samples[c][1])
+    if len(untested) == len(clusters):
         raise EmptyDataset(
-            f"no cluster has a test sample ({len(sequences)} users in {len(members)} clusters)"
+            f"no cluster has a test sample ({len(users)} users in {len(clusters)} clusters)"
         )
 
     rows: list[ReportRow] = []
@@ -247,7 +259,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             at = dict(scores)
             at_skipped[tags] = {}
             for c in sorted(select_trim_clusters(scores.values(), config.eta)):
-                mgm = MovieGenreMatrix.from_sequences(c, groups[c][0])
+                mgm = MovieGenreMatrix.from_sequences(c, users[groups[c][0]])
                 _, zeroed = trim_genres(mgm, config.theta)
                 if not zeroed:
                     continue
@@ -266,7 +278,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
                 for stage, (cluster, m) in zip(STAGES, table)
             )
 
-    report = EvalReport(tuple(rows), ac_details, at_details, untested, at_skipped)
+    report = EvalReport(tuple(rows), ac_details, at_details, untested, at_skipped, funnel)
     if config.out_dir is not None:
         transitions = {"all" if g < 0 else str(g): p for g, p in probs.items()}
         emit_report(report, config.out_dir, transitions if config.dump_transitions else None)

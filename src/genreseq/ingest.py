@@ -1,11 +1,12 @@
-"""MovieLens-format ingestion and per-user chronological 5-movie sequences.
+"""MovieLens-format ingestion and per-user chronological 5-movie windows.
 
 Input files are comma-separated UTF-8 with the standard headers
 ``movieId,title,genres`` and ``userId,movieId,rating,timestamp``; genre
-names are pipe-separated and quoted titles may contain commas.  Users end
-up as :class:`UserSequence` values: their five most recent movies (by
-timestamp, ties broken by ascending movie id), each paired with a
-multi-hot genre vector.
+names are pipe-separated and quoted titles may contain commas.  Ratings
+load as one structured array of four columns (:data:`RATING_DTYPE`) in
+file order.  The kept users end up as one :class:`Users` table: row i
+holds one user's five most recent movies (by timestamp, ties broken by
+ascending movie id), each with a multi-hot genre vector.
 
 A seeded synthetic generator with a planted transition matrix is included
 so that estimators downstream can be checked against a known ground truth.
@@ -13,11 +14,12 @@ so that estimators downstream can be checked against a known ground truth.
 
 from __future__ import annotations
 
+import copy
 import csv
-import itertools
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -34,56 +36,83 @@ RATING_GRID = np.arange(1, 11) * 0.5
 
 NO_GENRES_TOKEN = "(no genres listed)"
 
+# One ratings row; load_ratings returns an array of these in file order.
+RATING_DTYPE = np.dtype(
+    [("user_id", np.int64), ("movie_id", np.int64), ("rating", np.float64), ("timestamp", np.int64)]
+)
+
+_INT64 = np.iinfo(np.int64)
+
 _MOVIES_HEADER = ["movieId", "title", "genres"]
 _RATINGS_HEADER = ["userId", "movieId", "rating", "timestamp"]
 
 
-@dataclass(frozen=True)
-class RatingEvent:
-    """One rating action: a user rated a movie at a point in time."""
-
-    user_id: int
-    movie_id: int
-    rating: float
-    timestamp: int
-
-    def __post_init__(self):
-        if not RATING_MIN <= self.rating <= RATING_MAX:
-            raise RatingOutOfRange(
-                f"rating {self.rating} outside [{RATING_MIN}, {RATING_MAX}]"
-            )
+def _out_of_range(rating: float) -> RatingOutOfRange:
+    return RatingOutOfRange(f"rating {rating} outside [{RATING_MIN}, {RATING_MAX}]")
 
 
-@dataclass(frozen=True)
-class UserSequence:
-    """A user's five most recent movies, chronological, with genre vectors.
+def _check_ratings(ratings: np.ndarray) -> None:
+    """Raise for the first rating outside [RATING_MIN, RATING_MAX]; NaN fails too."""
+    bad = ~((ratings >= RATING_MIN) & (ratings <= RATING_MAX))
+    if bad.any():
+        raise _out_of_range(float(ratings.flat[np.argmax(bad)]))
 
-    ``genres`` is a (5, 19) multi-hot matrix, row t for event t.
+
+@dataclass(frozen=True, eq=False)
+class Users:
+    """Each kept user's five most recent movies, one row per user.
+
+    ``user_id`` is (n,); ``movie_id``, ``rating`` and ``timestamp`` are
+    (n, 5), chronological, ties broken by ascending movie id; ``genres``
+    is (n, 5, 19) multi-hot, ``genres[i, t]`` the genres of user i's
+    movie t.  The columns are validated once, in bulk, and read-only.
     """
 
-    user_id: int
-    events: tuple[RatingEvent, ...]
+    user_id: np.ndarray
+    movie_id: np.ndarray
+    rating: np.ndarray
+    timestamp: np.ndarray
     genres: np.ndarray
 
     def __post_init__(self):
-        if len(self.events) != SEQUENCE_LENGTH:
-            raise ValueError(f"expected {SEQUENCE_LENGTH} events, got {len(self.events)}")
-        keys = [(e.timestamp, e.movie_id) for e in self.events]
-        if keys != sorted(keys):
-            raise ValueError("events not ordered by (timestamp, movie_id)")
-        genres = np.asarray(self.genres, dtype=np.float64)
-        if genres.shape != (SEQUENCE_LENGTH, N_GENRES):
-            raise ValueError(f"genre matrix shape {genres.shape}")
+        n = np.size(self.user_id)
+        shapes = {
+            "user_id": (np.int64, (n,)),
+            "movie_id": (np.int64, (n, SEQUENCE_LENGTH)),
+            "rating": (np.float64, (n, SEQUENCE_LENGTH)),
+            "timestamp": (np.int64, (n, SEQUENCE_LENGTH)),
+            "genres": (np.float64, (n, SEQUENCE_LENGTH, N_GENRES)),
+        }
+        for name, (dtype, shape) in shapes.items():
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if column.shape != shape:
+                raise ValueError(f"{name} shape {column.shape}, expected {shape}")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        genres = self.genres
         if not np.all((genres == 0.0) | (genres == 1.0)):
             raise ValueError("genre matrix must be multi-hot")
-        if not np.all(genres.sum(axis=1) >= 1):
+        if not genres.any(axis=2).all():
             raise ValueError("every movie needs at least one genre")
-        genres.setflags(write=False)
-        object.__setattr__(self, "genres", genres)
+        _check_ratings(self.rating)
+        later = np.diff(self.timestamp, axis=1)
+        if not np.all((later > 0) | ((later == 0) & (np.diff(self.movie_id, axis=1) >= 0))):
+            raise ValueError("events not ordered by (timestamp, movie_id)")
 
-    @property
-    def ratings(self) -> np.ndarray:
-        return np.array([e.rating for e in self.events], dtype=np.float64)
+    def __len__(self) -> int:
+        return self.user_id.shape[0]
+
+    def __getitem__(self, rows) -> "Users":
+        """The users at ``rows`` (an index array, a boolean mask or a slice), in that order.
+
+        Rows of a valid table are valid, so they are not checked again.
+        """
+        picked = copy.copy(self)
+        for f in fields(self):
+            column = getattr(self, f.name)[rows]
+            column.setflags(write=False)
+            object.__setattr__(picked, f.name, column)
+        return picked
 
 
 @dataclass
@@ -98,9 +127,6 @@ class MovieCatalog:
 
     def __getitem__(self, movie_id: int) -> np.ndarray:
         return self.genres[movie_id]
-
-    def get(self, movie_id: int, default=None):
-        return self.genres.get(movie_id, default)
 
     def __len__(self) -> int:
         return len(self.genres)
@@ -142,13 +168,49 @@ def load_movies(path: str | Path) -> MovieCatalog:
     return catalog
 
 
-def load_ratings(path: str | Path) -> list[RatingEvent]:
-    """Parse a ratings CSV into events in file order (:func:`build_sequences` sorts)."""
-    events: list[RatingEvent] = []
+def load_ratings(path: str | Path) -> np.ndarray:
+    """Parse a ratings CSV into a :data:`RATING_DTYPE` array in file order.
+
+    The rows parse in one C pass.  When that pass fails, :func:`_scan_ratings`
+    reads the file again: it raises the diagnostic for the first bad line,
+    or returns the columns of rows only it accepts (quoted numbers, say).
+    A rating outside [0.5, 5.0], NaN included, raises
+    :class:`RatingOutOfRange` for the first such row in file order.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        if next(csv.reader(handle), None) != _RATINGS_HEADER:
+            raise MalformedRow(1, f"expected header {','.join(_RATINGS_HEADER)}")
+    try:
+        with warnings.catch_warnings():
+            # A file with no data rows only warns; the scan returns it empty.
+            warnings.simplefilter("error")
+            ratings = np.loadtxt(
+                path,
+                delimiter=",",
+                comments=None,
+                dtype=RATING_DTYPE,
+                skiprows=1,
+                ndmin=1,
+                encoding="utf-8",
+            )
+    except (ValueError, Warning):
+        return _scan_ratings(path)
+    _check_ratings(ratings["rating"])
+    return ratings
+
+
+def _scan_ratings(path: str | Path) -> np.ndarray:
+    """Row-by-row parse of a ratings CSV: the one place diagnostics come from.
+
+    Rows are checked in file order; the first one that is malformed (wrong
+    column count, unparsable or outside int64) raises :class:`MalformedRow`
+    with its 1-based line number, and the first rating out of range raises
+    :class:`RatingOutOfRange`.  Empty lines are skipped.
+    """
+    rows: list[tuple[int, int, float, int]] = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != _RATINGS_HEADER:
+        if next(reader, None) != _RATINGS_HEADER:
             raise MalformedRow(1, f"expected header {','.join(_RATINGS_HEADER)}")
         for row in reader:
             if not row:
@@ -157,39 +219,63 @@ def load_ratings(path: str | Path) -> list[RatingEvent]:
             if len(row) != 4:
                 raise MalformedRow(line, f"expected 4 columns, got {len(row)}")
             try:
-                user_id = int(row[0])
-                movie_id = int(row[1])
+                user_id, movie_id, timestamp = int(row[0]), int(row[1]), int(row[3])
                 rating = float(row[2])
-                timestamp = int(row[3])
             except ValueError:
                 raise MalformedRow(line, f"unparsable row {row!r}") from None
-            events.append(RatingEvent(user_id, movie_id, rating, timestamp))
-    return events
+            if not all(_INT64.min <= v <= _INT64.max for v in (user_id, movie_id, timestamp)):
+                raise MalformedRow(line, f"id or timestamp outside int64 in {row!r}")
+            if not RATING_MIN <= rating <= RATING_MAX:
+                raise _out_of_range(rating)
+            rows.append((user_id, movie_id, rating, timestamp))
+    return np.array(rows, dtype=RATING_DTYPE)
+
+
+def _catalog_table(movies: MovieCatalog | Mapping[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted movie ids and their genre rows, for one ``searchsorted`` lookup."""
+    genres = movies.genres if isinstance(movies, MovieCatalog) else movies
+    ids = np.array(sorted(genres), dtype=np.int64)
+    if not ids.size:
+        return ids, np.zeros((0, N_GENRES))
+    return ids, np.stack([genres[i] for i in ids.tolist()])
 
 
 def build_sequences(
-    events: Iterable[RatingEvent],
+    ratings: np.ndarray,
     movies: MovieCatalog | Mapping[int, np.ndarray],
-) -> tuple[list[UserSequence], int]:
-    """Per-user 5-movie windows from rating events.
+) -> tuple[Users, int]:
+    """Per-user 5-movie windows from a :data:`RATING_DTYPE` array.
 
-    Events whose movie is not in ``movies`` (unknown id or genre-less) are
-    removed first; users left with fewer than five events are dropped.
-    Returns ``(sequences, dropped_users)`` so that
-    ``dropped + len(sequences)`` equals the number of distinct users seen.
+    Rows whose movie is not in ``movies`` (unknown id or genre-less) are
+    removed first; users left with fewer than five rows are dropped.  The
+    rest sort by (user, timestamp, movie id), stably, so exact duplicates
+    keep file order, and each user keeps the last five.  Returns
+    ``(users, dropped_users)`` so that ``dropped + len(users)`` equals the
+    number of distinct users seen; ``users`` is sorted by user id.
     """
-    ordered = sorted(events, key=lambda e: (e.user_id, e.timestamp, e.movie_id))
-    sequences: list[UserSequence] = []
-    dropped = 0
-    for user_id, group in itertools.groupby(ordered, key=lambda e: e.user_id):
-        valid = [e for e in group if e.movie_id in movies]
-        if len(valid) < SEQUENCE_LENGTH:
-            dropped += 1
-            continue
-        window = valid[-SEQUENCE_LENGTH:]
-        genres = np.stack([movies[e.movie_id] for e in window])
-        sequences.append(UserSequence(user_id, tuple(window), genres))
-    return sequences, dropped
+    ids, table = _catalog_table(movies)
+    user, movie, timestamp = ratings["user_id"], ratings["movie_id"], ratings["timestamp"]
+    pos = np.searchsorted(ids, movie)
+    known = np.zeros(len(ratings), dtype=bool)
+    inside = pos < ids.size
+    known[inside] = ids[pos[inside]] == movie[inside]
+
+    rows = np.flatnonzero(known)
+    rows = rows[np.lexsort((movie[rows], timestamp[rows], user[rows]))]
+    grouped = user[rows]
+    ends = np.flatnonzero(np.r_[grouped[1:] != grouped[:-1], grouped.size > 0])
+    sizes = np.diff(ends, prepend=-1)
+    ends = ends[sizes >= SEQUENCE_LENGTH]
+    window = rows[ends[:, None] + np.arange(1 - SEQUENCE_LENGTH, 1)]
+
+    users = Users(
+        user_id=user[window[:, -1]],
+        movie_id=movie[window],
+        rating=ratings["rating"][window],
+        timestamp=timestamp[window],
+        genres=table[pos[window]],
+    )
+    return users, np.unique(user).size - len(users)
 
 
 @dataclass(frozen=True)
@@ -206,13 +292,14 @@ class SyntheticSpec:
     seed: int = 0
 
 
-def generate_synthetic(spec: SyntheticSpec) -> tuple[list[UserSequence], np.ndarray]:
-    """Deterministic synthetic sequences drawn from a planted chain.
+def generate_synthetic(spec: SyntheticSpec) -> tuple[Users, np.ndarray]:
+    """Deterministic synthetic users drawn from a planted chain.
 
     The first movie's genres are uniform; each later movie's genres are
     drawn from the planted matrix rows averaged over the previous movie's
-    genres.  Ratings are uniform on the half-point grid.  Returns the
-    sequences and a copy of the planted matrix.
+    genres.  Ratings are uniform on the half-point grid.  User u (from 1)
+    watches movies 5(u-1)+1 .. 5(u-1)+5.  Returns the users and a copy of
+    the planted matrix.
     """
     planted = np.asarray(spec.planted_matrix, dtype=np.float64)
     if spec.n_users < 1:
@@ -224,28 +311,28 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[list[UserSequence], np.ndar
         raise InvalidSpec(f"genres_per_movie range {spec.genres_per_movie} invalid")
 
     rng = np.random.default_rng(spec.seed)
-    sequences: list[UserSequence] = []
-    next_movie_id = 1
-    for u in range(spec.n_users):
-        user_id = u + 1
+    n = spec.n_users
+    genres = np.zeros((n, SEQUENCE_LENGTH, N_GENRES))
+    ratings = np.empty((n, SEQUENCE_LENGTH))
+    for u in range(n):
         sizes = rng.integers(low, high + 1, size=SEQUENCE_LENGTH)
-        genres = np.zeros((SEQUENCE_LENGTH, N_GENRES))
         chosen = rng.choice(N_GENRES, size=int(sizes[0]), replace=False)
-        genres[0, chosen] = 1.0
+        genres[u, 0, chosen] = 1.0
         for t in range(1, SEQUENCE_LENGTH):
-            prev = np.flatnonzero(genres[t - 1])
+            prev = np.flatnonzero(genres[u, t - 1])
             probs = planted[prev].mean(axis=0)
             probs = probs / probs.sum()
             # A sparse row can support fewer distinct genres than asked for.
             size = min(int(sizes[t]), int(np.count_nonzero(probs)))
             chosen = rng.choice(N_GENRES, size=size, replace=False, p=probs)
-            genres[t, chosen] = 1.0
-        ratings = rng.choice(RATING_GRID, size=SEQUENCE_LENGTH)
-        base = 1_000_000 + u * 1_000
-        events = tuple(
-            RatingEvent(user_id, next_movie_id + t, float(ratings[t]), base + 10 * t)
-            for t in range(SEQUENCE_LENGTH)
-        )
-        next_movie_id += SEQUENCE_LENGTH
-        sequences.append(UserSequence(user_id, events, genres))
-    return sequences, planted.copy()
+            genres[u, t, chosen] = 1.0
+        ratings[u] = rng.choice(RATING_GRID, size=SEQUENCE_LENGTH)
+    steps = np.arange(SEQUENCE_LENGTH)
+    users = Users(
+        user_id=np.arange(1, n + 1),
+        movie_id=1 + SEQUENCE_LENGTH * np.arange(n)[:, None] + steps,
+        rating=ratings,
+        timestamp=1_000_000 + 1_000 * np.arange(n)[:, None] + 10 * steps,
+        genres=genres,
+    )
+    return users, planted.copy()

@@ -16,13 +16,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from .errors import EmptyGenreSupport
 from .genres import GENRES, N_GENRES, is_row_stochastic
-from .ingest import SEQUENCE_LENGTH, UserSequence
+from .ingest import SEQUENCE_LENGTH, Users
 
 
 class FeatureMode(enum.Enum):
@@ -55,21 +54,21 @@ class TransitionModel:
             raise ValueError("probs do not match normalized counts")
 
     @classmethod
-    def from_sequences(cls, cluster: int, sequences: Iterable[UserSequence]) -> "TransitionModel":
-        counts = count_transitions(sequences)
+    def from_sequences(cls, cluster: int, users: Users) -> "TransitionModel":
+        counts = count_transitions(users)
         return cls(cluster, counts, normalize_transitions(counts))
 
 
-def count_transitions(sequences: Iterable[UserSequence]) -> np.ndarray:
+def count_transitions(users: Users) -> np.ndarray:
     """Count genre co-transitions over every consecutive movie pair.
 
     For movies at steps t-1 and t, counts[i, j] gains 1 for every genre i
-    of the earlier movie and every genre j of the later one.
+    of the earlier movie and every genre j of the later one.  One (n, 19)
+    GEMM per step pair, on strided views, so no (4n, 19) copy is made; the
+    float sums are of 0/1 products, so they are exact integers.
     """
-    counts = np.zeros((N_GENRES, N_GENRES), dtype=np.float64)
-    for seq in sequences:
-        genres = seq.genres
-        counts += genres[:-1].T @ genres[1:]
+    genres = users.genres
+    counts = sum(genres[:, t - 1].T @ genres[:, t] for t in range(1, SEQUENCE_LENGTH))
     return counts.astype(np.int64)
 
 
@@ -112,11 +111,12 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def genre_samples(sequences: Iterable[UserSequence]) -> Dataset:
-    """Raw (``GenreOnly``) samples: each sequence's 4 input genre rows and 5th-movie target."""
-    genres = np.array([seq.genres for seq in sequences], dtype=np.float64)
-    genres = genres.reshape(-1, SEQUENCE_LENGTH, N_GENRES)
-    return Dataset(genres[:, :4], genres[:, 4])
+def genre_samples(users: Users) -> Dataset:
+    """Raw (``GenreOnly``) samples: each user's 4 input genre rows and 5th-movie target.
+
+    Both are read-only views of ``users.genres``.
+    """
+    return Dataset(users.genres[:, :4], users.genres[:, 4])
 
 
 def featurize(samples: Dataset, probs: np.ndarray, mode: FeatureMode) -> Dataset:
@@ -150,11 +150,9 @@ def featurize(samples: Dataset, probs: np.ndarray, mode: FeatureMode) -> Dataset
     return Dataset(inputs, samples.targets)
 
 
-def build_dataset(
-    sequences: Iterable[UserSequence], probs: np.ndarray, mode: FeatureMode
-) -> Dataset:
-    """Featurized dataset for a group of sequences (one sample per user)."""
-    return featurize(genre_samples(sequences), probs, mode)
+def build_dataset(users: Users, probs: np.ndarray, mode: FeatureMode) -> Dataset:
+    """Featurized dataset for a group of users (one sample per user)."""
+    return featurize(genre_samples(users), probs, mode)
 
 
 def write_probability_csv(probs: np.ndarray, path: str | Path) -> None:

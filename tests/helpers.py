@@ -13,7 +13,7 @@ import platform
 import numpy as np
 import pytest
 
-from genreseq.ingest import RatingEvent, UserSequence
+from genreseq.ingest import Users
 from genreseq.genres import encode_genres
 from genreseq.nets import bce_loss, forward_sequence
 
@@ -43,29 +43,50 @@ requires_pinned_build = pytest.mark.skipif(
 )
 
 
+def users_from(genres, ratings=None, first_id=1, t0=1000):
+    """Users table from an (n, 5, 19) genre array.
+
+    User ids count up from ``first_id``; every user watches movies 100..104
+    at times t0, t0 + 10, ..., with rating 3.0 unless ``ratings`` says otherwise.
+    """
+    genres = np.asarray(genres, dtype=np.float64).reshape(-1, 5, 19)
+    n = genres.shape[0]
+    if ratings is None:
+        ratings = np.full((n, 5), 3.0)
+    return Users(
+        user_id=np.arange(first_id, first_id + n),
+        movie_id=np.tile(100 + np.arange(5), (n, 1)),
+        rating=np.asarray(ratings, dtype=np.float64).reshape(n, 5),
+        timestamp=np.tile(t0 + 10 * np.arange(5), (n, 1)),
+        genres=genres,
+    )
+
+
 def make_sequence(genre_sets, ratings=None, user_id=1, t0=1000):
-    """UserSequence from five lists of genre names."""
+    """One-user table from five lists of genre names."""
     assert len(genre_sets) == 5
     if ratings is None:
         ratings = [3.0] * 5
-    events = tuple(
-        RatingEvent(user_id, 100 + t, float(ratings[t]), t0 + 10 * t) for t in range(5)
-    )
     genres = np.stack([encode_genres(names) for names in genre_sets])
-    return UserSequence(user_id, events, genres)
+    return users_from(genres, [ratings], first_id=user_id, t0=t0)
 
 
-def random_sequence(rng, user_id=1, max_genres=3):
-    """Seeded random UserSequence over the full alphabet."""
-    genres = np.zeros((5, 19))
-    for t in range(5):
-        size = int(rng.integers(1, max_genres + 1))
-        genres[t, rng.choice(19, size=size, replace=False)] = 1.0
-    ratings = rng.choice(np.arange(1, 11) * 0.5, size=5)
-    events = tuple(
-        RatingEvent(user_id, 100 + t, float(ratings[t]), 1000 + 10 * t) for t in range(5)
-    )
-    return UserSequence(user_id, events, genres)
+def random_users(rng, n, max_genres=3, first_id=1):
+    """n seeded random users over the full alphabet."""
+    genres = np.zeros((n, 5, 19))
+    ratings = np.zeros((n, 5))
+    for u in range(n):
+        for t in range(5):
+            size = int(rng.integers(1, max_genres + 1))
+            genres[u, t, rng.choice(19, size=size, replace=False)] = 1.0
+        ratings[u] = rng.choice(np.arange(1, 11) * 0.5, size=5)
+    return users_from(genres, ratings, first_id=first_id)
+
+
+def stack_users(parts):
+    """The rows of several tables, in order, as one table."""
+    columns = ("user_id", "movie_id", "rating", "timestamp", "genres")
+    return Users(*(np.concatenate([getattr(u, c) for u in parts]) for c in columns))
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +219,13 @@ def metrics_oracle(tp, fp, fn, tn):
     return recall, precision, accuracy, f1
 
 
-def transition_counts_oracle(sequences):
+def transition_counts_oracle(users):
     """Explicit pair enumeration of genre-to-genre transition counts."""
     counts = np.zeros((19, 19), dtype=np.int64)
-    for seq in sequences:
+    for window in users.genres:
         for t in range(1, 5):
-            prev = np.flatnonzero(seq.genres[t - 1])
-            cur = np.flatnonzero(seq.genres[t])
+            prev = np.flatnonzero(window[t - 1])
+            cur = np.flatnonzero(window[t])
             for i in prev:
                 for j in cur:
                     counts[i, j] += 1

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from genreseq.clustering import RatingProfile, kmeans
+from genreseq.clustering import kmeans
 from genreseq.datagen import write_archetype_dataset
 from genreseq.evaluation import (
     ClusterMetrics,
@@ -238,17 +238,15 @@ def test_criterion_8_kmeans_properties():
     for trial in range(100):
         n = int(rng.integers(8, 60))
         points = rng.uniform(0, 5, size=(n, 19))
-        profiles = [RatingProfile(i + 1, points[i]) for i in range(n)]
         k = int(rng.integers(1, min(8, n + 1)))
-        model = kmeans(profiles, k, seed=trial)
+        model = kmeans(points, k, seed=trial)
         history = np.array(model.inertia_history)
         if not np.all(np.diff(history) <= 1e-9):
             monotone = False
             break
 
     points = np.random.default_rng(89).uniform(0, 5, size=(25, 19))
-    profiles = [RatingProfile(i + 1, points[i]) for i in range(25)]
-    model = kmeans(profiles, k=1, seed=5)
+    model = kmeans(points, k=1, seed=5)
     mean_err = float(np.max(np.abs(model.centroids[0] - points.mean(axis=0))))
     mean_ok = mean_err < 1e-9
 

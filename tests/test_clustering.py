@@ -3,7 +3,6 @@ import pytest
 
 from genreseq.clustering import (
     ClusterModel,
-    RatingProfile,
     assign_cluster,
     kmeans,
     rating_profile,
@@ -11,7 +10,7 @@ from genreseq.clustering import (
 from genreseq.errors import TooFewUsers
 from genreseq.genres import genre_index
 
-from .helpers import make_sequence, random_sequence
+from .helpers import make_sequence, random_users
 
 
 class TestRatingProfile:
@@ -20,7 +19,7 @@ class TestRatingProfile:
             [["Action", "Comedy"], ["Comedy"], ["Drama"], ["Drama"], ["Drama"]],
             ratings=[4.0, 2.0, 1.0, 1.0, 1.0],
         )
-        profile = rating_profile(seq).values
+        profile = rating_profile(seq.genres[0], seq.rating[0])
         assert profile[genre_index("Action")] == pytest.approx(4.0)
         assert profile[genre_index("Comedy")] == pytest.approx(3.0)
         assert profile[genre_index("Drama")] == pytest.approx(1.0)
@@ -28,26 +27,23 @@ class TestRatingProfile:
 
     def test_constant_case(self):
         seq = make_sequence([["Horror", "Mystery"]] * 5, ratings=[5.0] * 5)
-        profile = rating_profile(seq).values
+        profile = rating_profile(seq.genres[0], seq.rating[0])
         assert profile[genre_index("Horror")] == 5.0
         assert profile[genre_index("Mystery")] == 5.0
         assert profile.sum() == 10.0
 
     def test_matches_bruteforce_mean(self):
-        rng = np.random.default_rng(17)
-        for trial in range(20):
-            seq = random_sequence(rng, user_id=trial)
-            profile = rating_profile(seq).values
+        users = random_users(np.random.default_rng(17), 20)
+        for genres, user_ratings in zip(users.genres, users.rating):
+            profile = rating_profile(genres, user_ratings)
             for j in range(19):
-                ratings = [
-                    seq.events[t].rating for t in range(5) if seq.genres[t, j] == 1.0
-                ]
+                ratings = [user_ratings[t] for t in range(5) if genres[t, j] == 1.0]
                 expected = sum(ratings) / len(ratings) if ratings else 0.0
                 assert profile[j] == pytest.approx(expected)
 
 
 def profiles_from(points):
-    return [RatingProfile(i + 1, np.asarray(p, dtype=float)) for i, p in enumerate(points)]
+    return np.asarray(points, dtype=float)
 
 
 def pad(*values):
@@ -60,7 +56,7 @@ class TestKMeans:
     def test_well_separated_pairs(self):
         points = [pad(0.0), pad(0.1), pad(5.0, 5.0), pad(5.1, 5.0)]
         model = kmeans(profiles_from(points), k=2, seed=0)
-        groups = [model.assignment[1], model.assignment[2], model.assignment[3], model.assignment[4]]
+        groups = model.labels.tolist()
         assert groups[0] == groups[1]
         assert groups[2] == groups[3]
         assert groups[0] != groups[2]
@@ -90,7 +86,7 @@ class TestKMeans:
         points = rng.uniform(0, 5, size=(40, 19))
         a = kmeans(profiles_from(points), k=5, seed=9)
         b = kmeans(profiles_from(points), k=5, seed=9)
-        assert a.assignment == b.assignment
+        assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.centroids, b.centroids)
         assert a.inertia_history == b.inertia_history
 
@@ -106,16 +102,16 @@ class TestKMeans:
         rng = np.random.default_rng(6)
         points = rng.uniform(0, 5, size=(50, 19))
         model = kmeans(profiles_from(points), k=7, seed=2)
-        assert set(model.assignment.values()) == set(range(7))
+        assert set(model.labels.tolist()) == set(range(7))
 
     def test_assignment_matches_nearest_scan(self):
         rng = np.random.default_rng(7)
         points = rng.uniform(0, 5, size=(30, 19))
         profs = profiles_from(points)
         model = kmeans(profs, k=4, seed=3)
-        for prof in profs:
-            dists = [np.sum((prof.values - c) ** 2) for c in model.centroids]
-            assert model.assignment[prof.user_id] == int(np.argmin(dists))
+        for prof, label in zip(profs, model.labels):
+            dists = [np.sum((prof - c) ** 2) for c in model.centroids]
+            assert label == int(np.argmin(dists))
 
 
 class TestAssignCluster:
@@ -123,18 +119,18 @@ class TestAssignCluster:
         return ClusterModel(
             k=len(centroids),
             centroids=np.asarray(centroids, dtype=float),
-            assignment={},
+            labels=np.zeros(0, dtype=np.intp),
             inertia=0.0,
             inertia_history=(),
         )
 
     def test_exact_centroid(self):
         model = self.make_model([pad(0.0), pad(1.0), pad(2.0)])
-        assert assign_cluster(RatingProfile(1, pad(2.0)), model) == 2
+        assert assign_cluster(pad(2.0), model) == 2
 
     def test_tie_goes_to_lowest_index(self):
         model = self.make_model([pad(0.0), pad(2.0)])
-        assert assign_cluster(RatingProfile(1, pad(1.0)), model) == 0
+        assert assign_cluster(pad(1.0), model) == 0
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(8)
@@ -143,4 +139,4 @@ class TestAssignCluster:
         for _ in range(25):
             values = rng.uniform(0, 5, size=19)
             expected = int(np.argmin([np.sum((values - c) ** 2) for c in centroids]))
-            assert assign_cluster(RatingProfile(1, values), model) == expected
+            assert assign_cluster(values, model) == expected

@@ -17,7 +17,7 @@ from genreseq.evaluation import (
 from genreseq.genres import genre_index
 from genreseq.transitions import Dataset
 
-from .helpers import confusion_oracle, make_sequence, metrics_oracle, random_sequence
+from .helpers import confusion_oracle, make_sequence, metrics_oracle, random_users, stack_users
 
 
 class TestConfusionCounts:
@@ -138,10 +138,10 @@ class TestSelectTrimClusters:
 
 class TestMovieGenreMatrix:
     def test_counts_and_length(self):
-        seqs = [
+        seqs = stack_users([
             make_sequence([["Action"], ["Action", "Comedy"], ["Drama"], ["Drama"], ["Action"]]),
             make_sequence([["Comedy"]] * 5, user_id=2),
-        ]
+        ])
         m = MovieGenreMatrix.from_sequences(0, seqs)
         assert m.length == 10
         A, C, Dr = genre_index("Action"), genre_index("Comedy"), genre_index("Drama")
@@ -152,8 +152,7 @@ class TestMovieGenreMatrix:
 
     def test_rows_sum_at_least_five(self):
         rng = np.random.default_rng(65)
-        seqs = [random_sequence(rng, user_id=i) for i in range(10)]
-        m = MovieGenreMatrix.from_sequences(0, seqs)
+        m = MovieGenreMatrix.from_sequences(0, random_users(rng, 10))
         assert np.all(m.counts.sum(axis=1) >= 5)
 
 
@@ -281,10 +280,7 @@ class TestApplyTrim:
         # input order, each masked exactly as a one-row call masks it.
         rng = np.random.default_rng(36)
         zeroed = {0, 3, 7, 11}
-        rows = []
-        for i in range(60):
-            seq = random_sequence(rng, user_id=i, max_genres=2)
-            rows.append((seq.genres[:4], seq.genres[4]))
+        rows = [(window[:4], window[4]) for window in random_users(rng, 60, max_genres=2).genres]
         samples = Dataset(np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
         kept, dropped = apply_trim_to_dataset(samples, zeroed)
 

@@ -7,6 +7,7 @@ import pytest
 
 from genreseq import experiment
 from genreseq.cli import _CONFIG_KEYS, _build_parser, main
+from genreseq.datagen import write_archetype_dataset
 from genreseq.errors import EmptyDataset
 from genreseq.experiment import (
     STAGES,
@@ -24,12 +25,11 @@ from genreseq.ingest import SyntheticSpec
 from genreseq.nets import CellKind, TrainConfig
 from genreseq.transitions import FeatureMode
 
-from .helpers import random_sequence
+from .helpers import random_users
 
 
 def sequences(n, seed=0):
-    rng = np.random.default_rng(seed)
-    return [random_sequence(rng, user_id=i + 1) for i in range(n)]
+    return random_users(np.random.default_rng(seed), n)
 
 
 class TestSplitUsers:
@@ -45,15 +45,15 @@ class TestSplitUsers:
         seqs = sequences(20)
         a = split_users(seqs, 0.5, seed=3)
         b = split_users(seqs, 0.5, seed=3)
-        assert [s.user_id for s in a[0]] == [s.user_id for s in b[0]]
-        assert [s.user_id for s in a[1]] == [s.user_id for s in b[1]]
+        assert a[0].user_id.tolist() == b[0].user_id.tolist()
+        assert a[1].user_id.tolist() == b[1].user_id.tolist()
 
     def test_partition(self):
         seqs = sequences(13)
         train, test = split_users(seqs, 0.6, seed=4)
-        train_ids = {s.user_id for s in train}
-        test_ids = {s.user_id for s in test}
-        assert train_ids | test_ids == {s.user_id for s in seqs}
+        train_ids = set(train.user_id.tolist())
+        test_ids = set(test.user_id.tolist())
+        assert train_ids | test_ids == set(seqs.user_id.tolist())
         assert train_ids & test_ids == set()
 
     def test_fraction_bounds(self):
@@ -269,6 +269,19 @@ class TestRunExperiment:
         details = report.ac_metrics[("RNN", "Product")]
         assert sum(d.n_samples for d in details) <= 40
 
+    def test_funnel_counts_the_csv_input(self, tmp_path):
+        movies, ratings = write_archetype_dataset(tmp_path / "data", users_per_archetype=10, seed=3)
+        config = small_config(ratings_path=ratings, movies_path=movies, synthetic=None, max_users=50)
+        funnel = run_experiment(config).funnel
+
+        rows = [line.split(",") for line in ratings.read_text().splitlines()[1:]]
+        no_genre = movies.read_text().count(",(no genres listed)\n")
+        assert funnel["rating_rows"] == len(rows)
+        assert funnel["movies_skipped_no_genre"] == no_genre > 0
+        assert funnel["users_kept"] + funnel["users_dropped"] == len({r[0] for r in rows})
+        assert funnel["users_dropped"] > 0
+        assert funnel["users_after_max_users"] == 50 < funnel["users_kept"]
+
     def test_needs_inputs(self):
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig())
@@ -312,7 +325,7 @@ class TestStageProtocol:
         report = run_experiment(config)
 
         s = config.seed
-        sizes = Counter(models[0].assignment.values())
+        sizes = Counter(models[0].labels.tolist())
         clusters = sorted(sizes)
         n_users = sum(sizes.values())
         n_train = lambda n: math.ceil(config.split_fraction * n)  # noqa: E731

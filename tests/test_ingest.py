@@ -1,12 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from genreseq.errors import InvalidSpec, MalformedRow, RatingOutOfRange
-from genreseq.genres import genre_index
+from genreseq.genres import GENRES, genre_index
 from genreseq.ingest import (
-    RatingEvent,
+    RATING_DTYPE,
     SyntheticSpec,
-    UserSequence,
+    Users,
+    _scan_ratings,
     build_sequences,
     generate_synthetic,
     load_movies,
@@ -74,6 +77,9 @@ class TestLoadMovies:
             load_movies(tmp_path / "nope.csv")
 
 
+HEADER = "userId,movieId,rating,timestamp\n"
+
+
 class TestLoadRatings:
     def test_keeps_file_order(self, tmp_path):
         path = write(
@@ -81,7 +87,13 @@ class TestLoadRatings:
             "ratings.csv",
             "userId,movieId,rating,timestamp\n2,1,3.0,50\n1,5,4.0,200\n1,6,3.0,100\n",
         )
-        assert [(e.user_id, e.timestamp) for e in load_ratings(path)] == [(2, 50), (1, 200), (1, 100)]
+        ratings = load_ratings(path)
+        assert ratings.dtype == RATING_DTYPE and len(ratings) == 3
+        assert list(zip(ratings["user_id"].tolist(), ratings["timestamp"].tolist())) == [
+            (2, 50),
+            (1, 200),
+            (1, 100),
+        ]
 
     def test_rating_below_range(self, tmp_path):
         path = write(tmp_path, "ratings.csv", "userId,movieId,rating,timestamp\n1,5,0.0,100\n")
@@ -98,9 +110,78 @@ class TestLoadRatings:
         with pytest.raises(MalformedRow):
             load_ratings(path)
 
+    def test_first_bad_rating_in_file_order(self, tmp_path):
+        path = write(tmp_path, "ratings.csv", HEADER + "1,5,3.0,1\n1,6,7.0,2\n1,7,0.0,3\n")
+        with pytest.raises(RatingOutOfRange, match="rating 7.0 "):
+            load_ratings(path)
+
+    def test_id_above_int64_is_malformed(self, tmp_path):
+        path = write(tmp_path, "ratings.csv", HEADER + "1,5,3.0,1\n9223372036854775808,5,3.0,2\n")
+        with pytest.raises(MalformedRow) as err:
+            load_ratings(path)
+        assert err.value.line_number == 3
+
+
+# Files the one-pass parse and the row scan could read differently.  Each
+# must parse to the same columns on both paths or fail the same way.
+PARSE_CORPUS = {
+    "clean": "1,5,3.0,100\n2,6,4.5,50\n",
+    "comment line": "1,5,3.0,100\n# a comment\n2,6,4.5,50\n",
+    "whitespace-only line": "1,5,3.0,100\n   \n2,6,4.5,50\n",
+    "empty line": "1,5,3.0,100\n\n2,6,4.5,50\n",
+    "trailing comma": "1,5,3.0,100,\n",
+    "quoted numeric field": '"1",5,3.0,100\n',
+    "float id": "1.0,5,3.0,100\n",
+    "underscore id": "1_0,5,3.0,100\n",
+    "id above int64": "1,5,3.0,100\n1,99999999999999999999,3.0,100\n",
+    "timestamp above int64": "1,5,3.0,9223372036854775808\n",
+    "nan rating": "1,5,3.0,100\n1,6,nan,200\n",
+    "inf rating": "1,5,inf,100\n",
+    "out of range before malformed": "1,5,9.0,100\n1,x,3.0,100\n",
+    "malformed before out of range": "1,x,3.0,100\n1,5,9.0,100\n",
+    "crlf line endings": "1,5,3.0,100\r\n2,6,4.5,50\r\n",
+    "header only": "",
+    "no final newline": "1,5,3.0,100",
+    "short row": "1,5,3.0\n",
+}
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except (MalformedRow, RatingOutOfRange) as exc:
+        return exc
+
+
+class TestParseAgreement:
+    @pytest.mark.parametrize("body", PARSE_CORPUS.values(), ids=PARSE_CORPUS.keys())
+    def test_fast_parse_agrees_with_row_scan(self, tmp_path, body):
+        path = write(tmp_path, "ratings.csv", HEADER + body)
+        scanned, loaded = outcome(_scan_ratings, path), outcome(load_ratings, path)
+        if isinstance(scanned, Exception):
+            assert type(loaded) is type(scanned)
+            assert getattr(loaded, "line_number", None) == getattr(scanned, "line_number", None)
+            assert str(loaded) == str(scanned)
+        else:
+            assert isinstance(loaded, np.ndarray), loaded
+            assert loaded.dtype == scanned.dtype == RATING_DTYPE
+            assert loaded.shape == scanned.shape
+            for name in RATING_DTYPE.names:
+                assert np.array_equal(loaded[name], scanned[name]), name
+
+    def test_corpus_exercises_both_outcomes(self, tmp_path):
+        kinds = set()
+        for body in PARSE_CORPUS.values():
+            kinds.add(type(outcome(_scan_ratings, write(tmp_path, "r.csv", HEADER + body))))
+        assert {np.ndarray, MalformedRow, RatingOutOfRange} <= kinds
+
 
 def event(user, movie, ts, rating=3.0):
-    return RatingEvent(user, movie, rating, ts)
+    return (user, movie, rating, ts)
+
+
+def table(events):
+    return np.array(events, dtype=RATING_DTYPE)
 
 
 @pytest.fixture
@@ -125,9 +206,9 @@ class TestBuildSequences:
             "2,1,3.0,50\n1,5,4.0,500\n1,1,3.0,100\n2,2,3.0,10\n1,3,3.0,300\n"
             "1,6,4.0,600\n1,2,3.0,200\n1,4,3.0,400\n",
         )
-        (seq,), dropped = build_sequences(load_ratings(path), movie_map)
-        assert dropped == 1
-        assert [e.timestamp for e in seq.events] == [200, 300, 400, 500, 600]
+        users, dropped = build_sequences(load_ratings(path), movie_map)
+        assert dropped == 1 and len(users) == 1
+        assert users.timestamp[0].tolist() == [200, 300, 400, 500, 600]
 
     def test_tie_broken_by_movie_id(self, tmp_path, movie_map):
         path = write(
@@ -136,20 +217,20 @@ class TestBuildSequences:
             "userId,movieId,rating,timestamp\n"
             "1,7,4.0,100\n1,3,3.0,100\n1,5,3.0,100\n1,1,3.0,200\n1,6,3.0,100\n1,2,3.0,100\n",
         )
-        (seq,), _ = build_sequences(load_ratings(path), movie_map)
-        assert [e.movie_id for e in seq.events] == [3, 5, 6, 7, 1]
+        users, _ = build_sequences(load_ratings(path), movie_map)
+        assert len(users) == 1
+        assert users.movie_id[0].tolist() == [3, 5, 6, 7, 1]
 
     def test_five_most_recent_kept(self, movie_map):
         events = [event(1, (t % 7) + 1, ts=t) for t in range(1, 8)]
-        sequences, dropped = build_sequences(events, movie_map)
-        assert dropped == 0
-        (seq,) = sequences
-        assert [e.timestamp for e in seq.events] == [3, 4, 5, 6, 7]
+        users, dropped = build_sequences(table(events), movie_map)
+        assert dropped == 0 and len(users) == 1
+        assert users.timestamp[0].tolist() == [3, 4, 5, 6, 7]
 
     def test_below_threshold_dropped(self, movie_map):
         events = [event(1, 1, ts=t) for t in range(4)]
-        sequences, dropped = build_sequences(events, movie_map)
-        assert sequences == []
+        users, dropped = build_sequences(table(events), movie_map)
+        assert len(users) == 0
         assert dropped == 1
 
     def test_unknown_movie_removed_before_threshold(self, movie_map):
@@ -157,15 +238,14 @@ class TestBuildSequences:
         # stated filter order removes it first, five remain, the user is
         # kept and the window is the five surviving events.
         events = [event(1, m, ts=t) for t, m in enumerate([1, 2, 999, 3, 4, 5], start=1)]
-        sequences, dropped = build_sequences(events, movie_map)
-        assert dropped == 0
-        (seq,) = sequences
-        assert [e.movie_id for e in seq.events] == [1, 2, 3, 4, 5]
+        users, dropped = build_sequences(table(events), movie_map)
+        assert dropped == 0 and len(users) == 1
+        assert users.movie_id[0].tolist() == [1, 2, 3, 4, 5]
 
     def test_exactly_five_valid_kept(self, movie_map):
         events = [event(2, m, ts=m) for m in range(1, 6)]
-        sequences, dropped = build_sequences(events, movie_map)
-        assert len(sequences) == 1 and dropped == 0
+        users, dropped = build_sequences(table(events), movie_map)
+        assert len(users) == 1 and dropped == 0
 
     def test_tally_conservation(self, movie_map):
         rng = np.random.default_rng(5)
@@ -175,45 +255,139 @@ class TestBuildSequences:
             for t in range(n):
                 movie = int(rng.integers(1, 9))  # movie 8 is unknown
                 events.append(event(user, movie, ts=t, rating=2.5))
-        sequences, dropped = build_sequences(events, movie_map)
-        assert dropped + len(sequences) == 39
+        users, dropped = build_sequences(table(events), movie_map)
+        assert dropped + len(users) == 39
 
     def test_deterministic(self, movie_map):
-        events = [event(1, (t % 7) + 1, ts=t) for t in range(10)]
+        events = table([event(1, (t % 7) + 1, ts=t) for t in range(10)])
         first = build_sequences(events, movie_map)
         second = build_sequences(events, movie_map)
         assert first[1] == second[1]
-        for a, b in zip(first[0], second[0]):
-            assert a.events == b.events
-            assert np.array_equal(a.genres, b.genres)
+        for name in ("user_id", "movie_id", "rating", "timestamp", "genres"):
+            assert np.array_equal(getattr(first[0], name), getattr(second[0], name))
+
+    def test_no_known_movies(self, movie_map):
+        users, dropped = build_sequences(table([event(3, 999, ts=t) for t in range(6)]), movie_map)
+        assert len(users) == 0 and users.genres.shape == (0, 5, 19)
+        assert dropped == 1
+
+
+def reference_windows(ratings_path, catalog):
+    """Plain-Python windowing: sort rows by (user, timestamp, movie), group, keep the last five."""
+    with open(ratings_path, encoding="utf-8") as handle:
+        next(handle)
+        rows = []
+        for line in handle:
+            user, movie, rating, ts = line.strip().split(",")
+            rows.append((int(user), int(movie), float(rating), int(ts)))
+    ordered = sorted(rows, key=lambda r: (r[0], r[3], r[1]))
+    windows, dropped = [], 0
+    for _, group in itertools.groupby(ordered, key=lambda r: r[0]):
+        known = [r for r in group if r[1] in catalog]
+        if len(known) < 5:
+            dropped += 1
+        else:
+            windows.append(known[-5:])
+    return windows, dropped
+
+
+class TestWindowingDifferential:
+    def test_matches_plain_python_reference(self, tmp_path):
+        rng = np.random.default_rng(61)
+        movie_lines = ["movieId,title,genres"]
+        for movie in range(1, 41):
+            if movie % 9 == 0:
+                movie_lines.append(f"{movie},Blank {movie},(no genres listed)")
+            else:
+                names = rng.choice(GENRES, size=int(rng.integers(1, 4)), replace=False)
+                movie_lines.append(f"{movie},Movie {movie},{'|'.join(names)}")
+        movies_path = write(tmp_path, "movies.csv", "\n".join(movie_lines) + "\n")
+
+        # Sparse, unordered user ids; few distinct timestamps, so ties are
+        # common; ids 41-45 are not in the catalog and multiples of 9 have
+        # no genres.
+        user_ids = rng.choice(10**12, size=120, replace=False) - 5 * 10**11
+        rating_lines = [HEADER.strip()]
+        for user in user_ids.tolist():
+            kind = rng.integers(4)
+            n = int(rng.integers(1, 5)) if kind == 0 else int(rng.integers(1, 14))
+            for _ in range(n):
+                movie = int(rng.integers(41, 46)) if kind == 1 else int(rng.integers(1, 46))
+                rating = float(rng.choice(np.arange(1, 11) * 0.5))
+                ts = int(rng.integers(0, 6))
+                rating_lines.append(f"{user},{movie},{rating},{ts}")
+                if rng.uniform() < 0.2:  # an exact (user, movie, timestamp) duplicate
+                    rating_lines.append(f"{user},{movie},{float(rng.choice([0.5, 5.0]))},{ts}")
+        order = rng.permutation(len(rating_lines) - 1) + 1
+        ratings_path = write(
+            tmp_path, "ratings.csv", "\n".join([rating_lines[0]] + [rating_lines[i] for i in order]) + "\n"
+        )
+
+        catalog = load_movies(movies_path)
+        users, dropped = build_sequences(load_ratings(ratings_path), catalog)
+        windows, expected_dropped = reference_windows(ratings_path, catalog)
+
+        assert dropped == expected_dropped
+        assert 0 < len(users) == len(windows) < len(user_ids)
+        assert users.user_id.tolist() == [w[0][0] for w in windows]
+        assert users.movie_id.tolist() == [[r[1] for r in w] for w in windows]
+        assert users.rating.tolist() == [[r[2] for r in w] for w in windows]
+        assert users.timestamp.tolist() == [[r[3] for r in w] for w in windows]
+        expected_genres = np.array([[catalog[r[1]] for r in w] for w in windows])
+        assert np.array_equal(users.genres, expected_genres)
+
+
+def columns(n=1, **overrides):
+    """Valid Users columns for n users, with some replaced."""
+    cols = {
+        "user_id": np.arange(1, n + 1),
+        "movie_id": np.tile(100 + np.arange(5), (n, 1)),
+        "rating": np.full((n, 5), 3.0),
+        "timestamp": np.tile(1000 + np.arange(5), (n, 1)),
+        "genres": np.tile(np.eye(19)[0], (n, 5, 1)),
+    }
+    cols.update(overrides)
+    return cols
 
 
 class TestSequenceInvariants:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            UserSequence(1, tuple(), np.zeros((5, 19)))
+            Users(**columns(movie_id=np.zeros((1, 0), dtype=np.int64)))
+        with pytest.raises(ValueError):
+            Users(**columns(genres=np.zeros((1, 4, 19))))
 
     def test_order_enforced(self):
-        events = tuple(RatingEvent(1, 100 + t, 3.0, 1000 - t) for t in range(5))
-        genres = np.tile(np.eye(19)[0], (5, 1))
         with pytest.raises(ValueError):
-            UserSequence(1, events, genres)
+            Users(**columns(timestamp=np.array([[1000 - t for t in range(5)]])))
+        # A timestamp tie is ordered by movie id.
+        with pytest.raises(ValueError):
+            Users(**columns(timestamp=np.zeros((1, 5), dtype=np.int64), movie_id=np.array([[5, 4, 3, 2, 1]])))
+        Users(**columns(timestamp=np.zeros((1, 5), dtype=np.int64)))
 
     def test_empty_genre_row_rejected(self):
-        events = tuple(RatingEvent(1, 100 + t, 3.0, 1000 + t) for t in range(5))
         with pytest.raises(ValueError):
-            UserSequence(1, events, np.zeros((5, 19)))
+            Users(**columns(genres=np.zeros((1, 5, 19))))
+        with pytest.raises(ValueError):
+            Users(**columns(genres=np.full((1, 5, 19), 0.5)))
 
     def test_rating_bounds(self):
-        with pytest.raises(RatingOutOfRange):
-            RatingEvent(1, 1, 0.0, 0)
-        with pytest.raises(RatingOutOfRange):
-            RatingEvent(1, 1, 5.5, 0)
+        for bad in (0.0, 5.5, np.nan):
+            with pytest.raises(RatingOutOfRange):
+                Users(**columns(rating=np.full((1, 5), bad)))
 
     def test_valid_sequence_builds(self):
-        seq = make_sequence([["Action"], ["Comedy"], ["Drama"], ["War"], ["Western"]])
-        assert seq.genres.shape == (5, 19)
-        assert not seq.genres.flags.writeable
+        users = make_sequence([["Action"], ["Comedy"], ["Drama"], ["War"], ["Western"]])
+        assert users.genres.shape == (1, 5, 19) and len(users) == 1
+        assert not users.genres.flags.writeable
+
+    def test_row_selection_keeps_order(self):
+        users = Users(**columns(4))
+        picked = users[np.array([3, 1])]
+        assert picked.user_id.tolist() == [4, 2]
+        assert picked.genres.shape == (2, 5, 19)
+        assert not picked.rating.flags.writeable
+        assert users[users.user_id > 2].user_id.tolist() == [3, 4]
 
 
 class TestGenerateSynthetic:
@@ -221,23 +395,22 @@ class TestGenerateSynthetic:
         spec = SyntheticSpec(n_users=20, planted_matrix=np.full((19, 19), 1.0 / 19), seed=3)
         a, _ = generate_synthetic(spec)
         b, _ = generate_synthetic(spec)
-        for x, y in zip(a, b):
-            assert x.events == y.events
-            assert np.array_equal(x.genres, y.genres)
+        for name in ("user_id", "movie_id", "rating", "timestamp", "genres"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_identity_chain_repeats_one_genre(self):
         spec = SyntheticSpec(n_users=30, planted_matrix=np.eye(19), genres_per_movie=(1, 1), seed=9)
-        sequences, _ = generate_synthetic(spec)
-        for seq in sequences:
-            first = np.flatnonzero(seq.genres[0])
+        users, _ = generate_synthetic(spec)
+        for window in users.genres:
+            first = np.flatnonzero(window[0])
             for t in range(5):
-                assert np.array_equal(np.flatnonzero(seq.genres[t]), first)
+                assert np.array_equal(np.flatnonzero(window[t]), first)
 
     def test_uniform_chain_estimate_close(self):
         planted = np.full((19, 19), 1.0 / 19)
         spec = SyntheticSpec(n_users=10_000, planted_matrix=planted, genres_per_movie=(1, 1), seed=12)
-        sequences, _ = generate_synthetic(spec)
-        estimate = normalize_transitions(count_transitions(sequences))
+        users, _ = generate_synthetic(spec)
+        estimate = normalize_transitions(count_transitions(users))
         assert np.max(np.abs(estimate - planted)) < 0.02
 
     def test_invalid_specs(self):
@@ -252,7 +425,6 @@ class TestGenerateSynthetic:
 
     def test_ratings_on_half_grid(self):
         spec = SyntheticSpec(n_users=10, planted_matrix=np.full((19, 19), 1.0 / 19), seed=4)
-        sequences, _ = generate_synthetic(spec)
+        users, _ = generate_synthetic(spec)
         grid = set((np.arange(1, 11) * 0.5).tolist())
-        for seq in sequences:
-            assert set(seq.ratings.tolist()) <= grid
+        assert set(users.rating.ravel().tolist()) <= grid

@@ -4,7 +4,9 @@
 ``genreseq.experiment`` looks up at call time.  A refactor that stops
 calling one of those names would make the traced metrics silently wrong,
 so this installs the tracer on a small run (in a subprocess, since it
-rebinds module globals) and checks that the fit counts add up.
+rebinds module globals) and checks that the fit counts add up.  The
+synthetic run skips ingest, so a second run on a small CSV dataset checks
+the ingest counts.
 """
 
 import json
@@ -60,3 +62,48 @@ def test_traced_fit_counts_add_up(tmp_path):
     assert m["nets.loss_calls"] == m["nets.train_steps"] > 0
     assert m["clustering.rating_profile_calls"] == 120
     assert m["transitions.featurize_samples"] > 0
+
+
+CSV_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer, install, layer_metrics
+from genreseq import experiment
+from genreseq import CellKind, ExperimentConfig, FeatureMode, TrainConfig, write_archetype_dataset
+
+movies, ratings = write_archetype_dataset("data", users_per_archetype=20, seed=0)
+config = ExperimentConfig(
+    ratings_path=ratings,
+    movies_path=movies,
+    k=3,
+    cells=(CellKind.RNN,),
+    modes=(FeatureMode.GENRE_ONLY,),
+    train=TrainConfig(epochs=2, hidden_dim=8, seed=0),
+    seed=11,
+)
+tracer = Tracer()
+install(tracer)
+experiment.run_experiment(config)
+tracer.dump("trace.json")
+metrics, _ = layer_metrics(json.loads(open("trace.json").read()), 0.0)
+print(json.dumps({"metrics": metrics}))
+"""
+
+
+def test_traced_ingest_counts_match_the_file(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", CSV_SCRIPT, str(REPO / "perfbench")],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    m = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
+    rows = (tmp_path / "data" / "ratings.csv").read_text().splitlines()[1:]
+    assert m["ingest.rows"] == len(rows) > 0
+    assert m["ingest.users_kept"] == m["clustering.rating_profile_calls"] > 0
+    distinct = {row.split(",")[0] for row in rows}
+    assert m["ingest.users_kept"] + m["ingest.users_dropped"] == len(distinct)
+    assert m["ingest.users_dropped"] > 0

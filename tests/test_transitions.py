@@ -20,7 +20,7 @@ from genreseq.transitions import (
     write_probability_csv,
 )
 
-from .helpers import make_sequence, random_sequence, transition_counts_oracle
+from .helpers import make_sequence, random_users, stack_users, transition_counts_oracle, users_from
 
 A = genre_index("Action")
 C = genre_index("Comedy")
@@ -31,7 +31,7 @@ class TestCountTransitions:
     def test_hand_counted_sequence(self):
         # Pairs: ({Action,Comedy} -> {Comedy}) then {Comedy} -> {Comedy} x3.
         seq = make_sequence([["Action", "Comedy"], ["Comedy"], ["Comedy"], ["Comedy"], ["Comedy"]])
-        counts = count_transitions([seq])
+        counts = count_transitions(seq)
         assert counts[A, C] == 1
         assert counts[C, C] == 4
         assert counts.sum() == 5
@@ -42,7 +42,7 @@ class TestCountTransitions:
         seq = make_sequence(
             [["Romance", "Action", "Comedy"], ["Drama"], ["Drama"], ["Drama"], ["Drama"]]
         )
-        counts = count_transitions([seq])
+        counts = count_transitions(seq)
         D = genre_index("Drama")
         assert counts[R, D] == 1
         assert counts[A, D] == 1
@@ -51,12 +51,13 @@ class TestCountTransitions:
         assert counts.sum() == 6
 
     def test_empty_input(self):
-        assert np.array_equal(count_transitions([]), np.zeros((19, 19), dtype=np.int64))
+        empty = users_from(np.zeros((0, 5, 19)))
+        assert np.array_equal(count_transitions(empty), np.zeros((19, 19), dtype=np.int64))
 
     def test_matches_bruteforce_enumeration(self):
         rng = np.random.default_rng(21)
-        sequences = [random_sequence(rng, user_id=i) for i in range(100)]
-        assert np.array_equal(count_transitions(sequences), transition_counts_oracle(sequences))
+        users = random_users(rng, 100)
+        assert np.array_equal(count_transitions(users), transition_counts_oracle(users))
 
 
 class TestNormalizeTransitions:
@@ -157,16 +158,15 @@ class TestCombine:
 
 class TestBuildDataset:
     def sequences(self, n=6, seed=27):
-        rng = np.random.default_rng(seed)
-        return [random_sequence(rng, user_id=i) for i in range(n)]
+        return random_users(np.random.default_rng(seed), n)
 
     def test_genre_only_inputs_are_genre_vectors(self):
         seqs = self.sequences()
         probs = np.full((19, 19), 1.0 / 19)
         ds = build_dataset(seqs, probs, FeatureMode.GENRE_ONLY)
-        for i, seq in enumerate(seqs):
-            assert np.array_equal(ds.inputs[i], seq.genres[:4])
-            assert np.array_equal(ds.targets[i], seq.genres[4])
+        for i, window in enumerate(seqs.genres):
+            assert np.array_equal(ds.inputs[i], window[:4])
+            assert np.array_equal(ds.targets[i], window[4])
 
     def test_sample_count_matches_sequences(self):
         seqs = self.sequences(9)
@@ -180,7 +180,7 @@ class TestBuildDataset:
         seq = make_sequence([["War"]] * 5)
         probs = np.eye(19)
         for mode in FeatureMode:
-            ds = build_dataset([seq], probs, mode)
+            ds = build_dataset(seq, probs, mode)
             for t in range(1, 4):
                 assert np.array_equal(ds.inputs[0, t], ds.inputs[0, 0])
 
@@ -189,8 +189,7 @@ class TestBuildDataset:
         # on raw samples and on samples with trimmed genre columns.
         rng = np.random.default_rng(29)
         probs = normalize_transitions(rng.integers(0, 9, size=(19, 19)).astype(float))
-        seqs = self.sequences(40, seed=28)
-        seqs += [random_sequence(rng, user_id=100 + i, max_genres=8) for i in range(160)]
+        seqs = stack_users([self.sequences(40, seed=28), random_users(rng, 160, max_genres=8, first_id=100)])
         samples = genre_samples(seqs)
         trimmed, dropped = apply_trim_to_dataset(samples, range(0, 19, 3))
         assert trimmed and dropped
@@ -207,7 +206,7 @@ class TestBuildDataset:
     def test_featurize_no_samples(self):
         probs = np.full((19, 19), 1.0 / 19)
         for mode in FeatureMode:
-            ds = featurize(genre_samples([]), probs, mode)
+            ds = featurize(genre_samples(users_from(np.zeros((0, 5, 19)))), probs, mode)
             assert ds.inputs.shape == (0, 4, feature_dim(mode))
             assert ds.targets.shape == (0, 19)
 
@@ -225,13 +224,13 @@ class TestBuildDataset:
 class TestTransitionModel:
     def test_from_sequences_consistent(self):
         rng = np.random.default_rng(30)
-        seqs = [random_sequence(rng, user_id=i) for i in range(10)]
+        seqs = random_users(rng, 10)
         model = TransitionModel.from_sequences(0, seqs)
         assert np.array_equal(model.counts, count_transitions(seqs))
         assert np.allclose(model.probs, normalize_transitions(model.counts))
 
     def test_inconsistent_probs_rejected(self):
-        counts = count_transitions([])
+        counts = count_transitions(users_from(np.zeros((0, 5, 19))))
         with pytest.raises(ValueError):
             TransitionModel(0, counts, np.eye(19))
 
