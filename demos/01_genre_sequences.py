@@ -51,7 +51,7 @@ workdir = Path(tempfile.mkdtemp(prefix="genreseq_demo_"))
 )
 
 movies = load_movies(workdir / "movies.csv")
-print(f"\nloaded {len(movies)} movies; skipped {movies.skipped_no_genre} without genres")
+print(f"\nloaded {movies.ids.size} movies; skipped {movies.skipped_no_genre} without genres")
 
 ratings = load_ratings(workdir / "ratings.csv")
 print(f"loaded {len(ratings)} rating rows as columns {ratings.dtype.names} "

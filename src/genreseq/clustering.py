@@ -65,19 +65,13 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def kmeans(
-    profiles: np.ndarray,
-    k: int = DEFAULT_K,
-    seed: int = 0,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> ClusterModel:
+def kmeans(profiles: np.ndarray, k: int = DEFAULT_K, seed: int = 0) -> ClusterModel:
     """Lloyd iterations from seeded k-means++ starts over (n, 19) profiles.
 
-    Stops when the largest centroid shift falls below ``tol`` or after
-    ``max_iter`` iterations.  An empty cluster is reseeded to the point
-    farthest from its assigned centroid, keeping k fixed.  The recorded
-    inertia history is non-increasing.
+    Stops when the largest centroid shift falls below :data:`DEFAULT_TOL`
+    or after :data:`DEFAULT_MAX_ITER` iterations.  An empty cluster is
+    reseeded to the point farthest from its assigned centroid, keeping k
+    fixed.  The recorded inertia history is non-increasing.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -89,7 +83,7 @@ def kmeans(
 
     history: list[float] = []
     labels = np.zeros(points.shape[0], dtype=np.intp)
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         labels, d2 = _nearest(points, centroids)
         history.append(float(d2.sum()))
         new_centroids = centroids.copy()
@@ -108,7 +102,7 @@ def kmeans(
                 point_d2[far] = -1.0  # a point can seed at most one empty cluster
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
-        if shift < tol:
+        if shift < DEFAULT_TOL:
             break
 
     labels, d2 = _nearest(points, centroids)

@@ -49,44 +49,10 @@ _RARE_SLOTS = 40  # per rare genre; keeps each under 10% of movie events
 _IDS_PER_BUCKET = 30
 
 
-def _ring_templates(pool: tuple[str, ...]) -> list[tuple[str, ...]]:
-    """Four 2-genre movie templates where neighbors share one genre."""
-    return [(pool[i], pool[(i + 1) % 4]) for i in range(4)]
-
-
-class _Catalog:
-    """Movie-id buckets keyed by template, plus the CSV rows to write."""
-
-    def __init__(self):
-        self.rows: list[tuple[int, str, str]] = []
-        self.buckets: dict[str, list[int]] = {}
-        self._next_id = 1
-
-    def _title(self, movie_id: int) -> str:
-        if movie_id % 13 == 0:
-            return f"Feature, The (Part {movie_id}) (2020)"
-        return f"Synthetic Feature #{movie_id} (2020)"
-
-    def add_bucket(self, key: str, genres: tuple[str, ...], count: int) -> None:
-        ids = []
-        for _ in range(count):
-            movie_id = self._next_id
-            self._next_id += 1
-            self.rows.append((movie_id, self._title(movie_id), "|".join(genres)))
-            ids.append(movie_id)
-        self.buckets[key] = ids
-
-    def add_single(self, key: str, genres: tuple[str, ...]) -> None:
-        self.add_bucket(key, genres, 1)
-
-    def add_genreless(self, count: int) -> list[int]:
-        ids = []
-        for _ in range(count):
-            movie_id = self._next_id
-            self._next_id += 1
-            self.rows.append((movie_id, self._title(movie_id), NO_GENRES_TOKEN))
-            ids.append(movie_id)
-        return ids
+def _title(movie_id: int) -> str:
+    if movie_id % 13 == 0:
+        return f"Feature, The (Part {movie_id}) (2020)"
+    return f"Synthetic Feature #{movie_id} (2020)"
 
 
 def _build_diffuse_sets(rng: np.random.Generator) -> list[tuple[str, ...]]:
@@ -115,21 +81,28 @@ def _build_diffuse_sets(rng: np.random.Generator) -> list[tuple[str, ...]]:
     return sets
 
 
-def _build_catalog(rng: np.random.Generator) -> tuple[_Catalog, list[int]]:
-    catalog = _Catalog()
-    for pool_name, pool in (("p1", _POOL_ONE), ("p2", _POOL_TWO)):
-        for i, template in enumerate(_ring_templates(pool)):
-            catalog.add_bucket(f"{pool_name}_t{i}", template, _IDS_PER_BUCKET)
-    catalog.add_bucket("sharp_base", ("Horror", "Mystery"), _IDS_PER_BUCKET)
-    catalog.add_bucket("sharp_solo", ("Horror",), _IDS_PER_BUCKET)
-    catalog.add_bucket("sharp_full", ("Horror", "Mystery", "Thriller"), _IDS_PER_BUCKET)
-    catalog.add_bucket("cls_base", ("War", "Western"), _IDS_PER_BUCKET)
-    catalog.add_bucket("cls_solo", ("War",), _IDS_PER_BUCKET)
-    catalog.add_bucket("cls_full", ("Documentary", "War", "Western"), _IDS_PER_BUCKET)
-    for i, genres in enumerate(_build_diffuse_sets(rng)):
-        catalog.add_single(f"dif_{i}", genres)
-    genreless = catalog.add_genreless(5)
-    return catalog, genreless
+def _catalog_specs(rng: np.random.Generator) -> list[tuple[str, tuple[str, ...], int]]:
+    """(bucket key, genres, count) of every movie bucket, in movie-id order.
+
+    Each twin pool is a ring of four 2-genre templates where neighbors
+    share one genre; the diffuse pool is one movie per bucket.
+    """
+    specs = [
+        (f"{name}_t{i}", (pool[i], pool[(i + 1) % 4]), _IDS_PER_BUCKET)
+        for name, pool in (("p1", _POOL_ONE), ("p2", _POOL_TWO))
+        for i in range(4)
+    ]
+    specs += [
+        ("sharp_base", ("Horror", "Mystery"), _IDS_PER_BUCKET),
+        ("sharp_solo", ("Horror",), _IDS_PER_BUCKET),
+        ("sharp_full", ("Horror", "Mystery", "Thriller"), _IDS_PER_BUCKET),
+        ("cls_base", ("War", "Western"), _IDS_PER_BUCKET),
+        ("cls_solo", ("War",), _IDS_PER_BUCKET),
+        ("cls_full", ("Documentary", "War", "Western"), _IDS_PER_BUCKET),
+    ]
+    specs += [(f"dif_{i}", g, 1) for i, g in enumerate(_build_diffuse_sets(rng))]
+    specs.append(("none", (NO_GENRES_TOKEN,), 5))
+    return specs
 
 
 def _twin_buckets(rng: np.random.Generator, pool_name: str, shift: int) -> list[str]:
@@ -182,64 +155,57 @@ def write_archetype_dataset(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    catalog, genreless_ids = _build_catalog(rng)
+    buckets: dict[str, range] = {}
+    movie_rows: list[tuple[int, str, str]] = []
+    for key, genres, count in _catalog_specs(rng):
+        first = len(movie_rows) + 1
+        buckets[key] = range(first, first + count)
+        movie_rows += [(i, _title(i), "|".join(genres)) for i in buckets[key]]
 
     heavy = int(round(users_per_archetype * 1.2))
     light = 2 * users_per_archetype - heavy
-    roster: list[tuple[str, int, tuple[float, ...]]] = [
-        ("twin_a1", heavy, _TWIN_HI_RATINGS),
-        ("twin_a2", light, _TWIN_LO_RATINGS),
-        ("twin_b1", heavy, _TWIN_HI_RATINGS),
-        ("twin_b2", light, _TWIN_LO_RATINGS),
-        ("sharp", users_per_archetype, _SHARP_RATINGS),
-        ("classics", users_per_archetype, _CLASSICS_RATINGS),
-        ("diffuse", users_per_archetype, _DIFFUSE_RATINGS),
+    # (users, rating grid, bucket draw) per archetype, in user-id order.
+    roster = [
+        (heavy, _TWIN_HI_RATINGS, lambda: _twin_buckets(rng, "p1", 1)),
+        (light, _TWIN_LO_RATINGS, lambda: _twin_buckets(rng, "p1", 2)),
+        (heavy, _TWIN_HI_RATINGS, lambda: _twin_buckets(rng, "p2", 1)),
+        (light, _TWIN_LO_RATINGS, lambda: _twin_buckets(rng, "p2", 2)),
+        (users_per_archetype, _SHARP_RATINGS, lambda: _patterned_buckets(rng, "sharp")),
+        (users_per_archetype, _CLASSICS_RATINGS, lambda: _patterned_buckets(rng, "cls")),
+        (users_per_archetype, _DIFFUSE_RATINGS, lambda: _diffuse_buckets(rng)),
     ]
 
+    genreless = buckets["none"]
     ratings_rows: list[tuple[int, int, float, int]] = []
     user_id = 0
-    for kind, count, grid in roster:
+    for count, grid, draw in roster:
         for _ in range(count):
             user_id += 1
-            if kind == "twin_a1":
-                buckets = _twin_buckets(rng, "p1", 1)
-            elif kind == "twin_a2":
-                buckets = _twin_buckets(rng, "p1", 2)
-            elif kind == "twin_b1":
-                buckets = _twin_buckets(rng, "p2", 1)
-            elif kind == "twin_b2":
-                buckets = _twin_buckets(rng, "p2", 2)
-            elif kind == "sharp":
-                buckets = _patterned_buckets(rng, "sharp")
-            elif kind == "classics":
-                buckets = _patterned_buckets(rng, "cls")
-            else:
-                buckets = _diffuse_buckets(rng)
             base = 1_000_000_000 + user_id * 100
-            for j, bucket in enumerate(buckets):
-                ids = catalog.buckets[bucket]
-                movie_id = int(ids[rng.integers(0, len(ids))])
+            for j, bucket in enumerate(draw()):
+                ids = buckets[bucket]
+                movie_id = ids[rng.integers(0, len(ids))]
                 rating = float(rng.choice(grid))
                 ratings_rows.append((user_id, movie_id, rating, base + 10 * j))
             if user_id % 50 == 0:
                 # An event on a genre-less movie; filtered out by ingestion.
-                movie_id = int(genreless_ids[rng.integers(0, len(genreless_ids))])
+                movie_id = genreless[rng.integers(0, len(genreless))]
                 ratings_rows.append((user_id, movie_id, float(rng.choice(grid)), base + 25))
 
     # A few casual users below the five-movie eligibility threshold.
-    any_bucket = catalog.buckets["p1_t0"]
+    any_bucket = buckets["p1_t0"]
     for _ in range(25):
         user_id += 1
         base = 1_000_000_000 + user_id * 100
         for j in range(3):
-            movie_id = int(any_bucket[rng.integers(0, len(any_bucket))])
+            movie_id = any_bucket[rng.integers(0, len(any_bucket))]
             ratings_rows.append((user_id, movie_id, 3.0, base + 10 * j))
 
     movies_path = out / "movies.csv"
     with open(movies_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["movieId", "title", "genres"])
-        writer.writerows(catalog.rows)
+        writer.writerows(movie_rows)
 
     ratings_path = out / "ratings.csv"
     with open(ratings_path, "w", newline="", encoding="utf-8") as handle:

@@ -4,7 +4,7 @@ Counting is micro-style: one yes/no cell per (sample, genre), pooled into
 a single TP/FP/FN/TN quadruple.  A genre is predicted "yes" when its
 probability strictly exceeds the threshold, so ties count as negatives.
 
-Trimming targets clusters whose weakest configured metric falls below a
+Trimming targets clusters whose weaker of precision and recall falls below a
 threshold: genre columns that occur in fewer than a fixed fraction of the
 cluster's movie events are zeroed (kept as dimensions, not removed), and
 the cluster's model is retrained on the masked data.
@@ -24,8 +24,6 @@ from .transitions import Dataset
 
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_TRIM_METRICS = ("precision", "recall")
-
-METRIC_NAMES = ("recall", "precision", "accuracy", "f1")
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,7 @@ class Metrics:
 
 @dataclass(frozen=True)
 class ClusterMetrics:
-    """One cluster's metrics plus the minimum over the configured set."""
+    """One cluster's metrics plus ``p_min``, the minimum over :data:`DEFAULT_TRIM_METRICS`."""
 
     cluster: int
     recall: float
@@ -93,17 +91,10 @@ def metrics(c: ConfusionCounts) -> Metrics:
     return Metrics(recall, precision, accuracy, f1)
 
 
-def cluster_metrics(
-    cluster: int,
-    counts: ConfusionCounts,
-    metric_set: Sequence[str] = DEFAULT_TRIM_METRICS,
-) -> ClusterMetrics:
-    """Metrics for one cluster, with p_min over ``metric_set``."""
-    for name in metric_set:
-        if name not in METRIC_NAMES:
-            raise ValueError(f"unknown metric {name!r}")
+def cluster_metrics(cluster: int, counts: ConfusionCounts) -> ClusterMetrics:
+    """Metrics for one cluster, with p_min over :data:`DEFAULT_TRIM_METRICS`."""
     m = metrics(counts)
-    p_min = min(getattr(m, name) for name in metric_set)
+    p_min = min(getattr(m, name) for name in DEFAULT_TRIM_METRICS)
     return ClusterMetrics(
         cluster,
         m.recall,
@@ -116,7 +107,7 @@ def cluster_metrics(
 
 
 def select_trim_clusters(all_metrics: Iterable[ClusterMetrics], eta: float) -> set[int]:
-    """Clusters whose weakest configured metric falls below ``eta``."""
+    """Clusters whose ``p_min`` falls below ``eta``."""
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must be in (0, 1)")
     return {m.cluster for m in all_metrics if m.p_min < eta}

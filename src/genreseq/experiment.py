@@ -66,7 +66,12 @@ REPORT_HEADER = "cell,mode,stage,cluster,recall,precision,accuracy,f1"
 
 @dataclass
 class ExperimentConfig:
-    """Everything one experiment needs; all randomness flows from ``seed``."""
+    """Everything one experiment needs; all randomness flows from ``seed``.
+
+    ``train.seed`` has no effect on a run: :func:`run_experiment` replaces
+    it with each fit's seed, derived from ``seed``, the fit's role, the
+    cell and the feature mode.
+    """
 
     ratings_path: str | Path | None = None
     movies_path: str | Path | None = None
@@ -104,9 +109,10 @@ class EvalReport:
     ``untested`` names the clusters with no test sample: they get no fit
     and stay out of the AC and AT rows.  ``at_skipped[(cell, mode)]`` maps
     each cluster selected for trimming but not retrained, because the trim
-    emptied its training or test set, to that reason; its AT score is its
-    AC score.  ``funnel`` counts the data left after each ingest step (see
-    :func:`run_experiment`); it stays out of the report files.
+    zeroed no genre or emptied its training or test set, to that reason;
+    its AT score is its AC score.  ``funnel`` counts the data left after
+    each ingest step (see :func:`run_experiment`); it stays out of the
+    report files.
     """
 
     rows: tuple[ReportRow, ...]
@@ -262,6 +268,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
                 mgm = MovieGenreMatrix.from_sequences(c, users[groups[c][0]])
                 _, zeroed = trim_genres(mgm, config.theta)
                 if not zeroed:
+                    at_skipped[tags][c] = "trim zeroed no genre"
                     continue
                 trimmed = tuple(apply_trim_to_dataset(d, zeroed)[0] for d in samples[c])
                 if all(trimmed):

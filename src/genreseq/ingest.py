@@ -17,9 +17,8 @@ from __future__ import annotations
 import copy
 import csv
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -115,31 +114,34 @@ class Users:
         return picked
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MovieCatalog:
-    """Mapping movie_id -> multi-hot genre vector, plus a skip tally."""
+    """The movies that have genres, as two aligned columns.
 
-    genres: dict[int, np.ndarray] = field(default_factory=dict)
+    ``ids`` is (m,) int64, ascending and unique; ``genres`` is (m, 19)
+    multi-hot, ``genres[i]`` the genres of movie ``ids[i]``.
+    ``skipped_no_genre`` counts the genre-less movies left out.
+    """
+
+    ids: np.ndarray
+    genres: np.ndarray
     skipped_no_genre: int = 0
 
-    def __contains__(self, movie_id: int) -> bool:
-        return movie_id in self.genres
-
-    def __getitem__(self, movie_id: int) -> np.ndarray:
-        return self.genres[movie_id]
-
-    def __len__(self) -> int:
-        return len(self.genres)
+    def __post_init__(self):
+        if self.genres.shape != (self.ids.size, N_GENRES) or np.any(np.diff(self.ids) <= 0):
+            raise ValueError("catalog ids must be ascending and unique, one genre row each")
 
 
 def load_movies(path: str | Path) -> MovieCatalog:
     """Parse a movies CSV into a :class:`MovieCatalog`.
 
     Movies whose genre field is ``(no genres listed)`` are omitted and
-    counted in ``skipped_no_genre``.  Rows with the wrong column count,
-    unparsable ids, or an empty genre field raise :class:`MalformedRow`.
+    counted in ``skipped_no_genre``; a repeated id keeps its last row with
+    genres.  Rows with the wrong column count, unparsable ids, ids outside
+    int64, or an empty genre field raise :class:`MalformedRow`.
     """
-    catalog = MovieCatalog()
+    genres: dict[int, np.ndarray] = {}
+    skipped = 0
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -156,16 +158,21 @@ def load_movies(path: str | Path) -> MovieCatalog:
                 movie_id = int(raw_id)
             except ValueError:
                 raise MalformedRow(line, f"bad movie id {raw_id!r}") from None
+            if not _INT64.min <= movie_id <= _INT64.max:
+                raise MalformedRow(line, f"movie id {raw_id!r} outside int64")
             if raw_genres == NO_GENRES_TOKEN:
-                catalog.skipped_no_genre += 1
+                skipped += 1
                 continue
             if not raw_genres:
                 raise MalformedRow(line, "empty genre field")
             try:
-                catalog.genres[movie_id] = encode_genres(raw_genres.split("|"))
+                genres[movie_id] = encode_genres(raw_genres.split("|"))
             except UnknownGenre as exc:
                 raise MalformedRow(line, str(exc)) from None
-    return catalog
+    ids = np.array(list(genres), dtype=np.int64)
+    order = np.argsort(ids)
+    rows = np.array(list(genres.values())).reshape(-1, N_GENRES)
+    return MovieCatalog(ids[order], rows[order], skipped)
 
 
 def load_ratings(path: str | Path) -> np.ndarray:
@@ -231,37 +238,29 @@ def _scan_ratings(path: str | Path) -> np.ndarray:
     return np.array(rows, dtype=RATING_DTYPE)
 
 
-def _catalog_table(movies: MovieCatalog | Mapping[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted movie ids and their genre rows, for one ``searchsorted`` lookup."""
-    genres = movies.genres if isinstance(movies, MovieCatalog) else movies
-    ids = np.array(sorted(genres), dtype=np.int64)
-    if not ids.size:
-        return ids, np.zeros((0, N_GENRES))
-    return ids, np.stack([genres[i] for i in ids.tolist()])
-
-
-def build_sequences(
-    ratings: np.ndarray,
-    movies: MovieCatalog | Mapping[int, np.ndarray],
-) -> tuple[Users, int]:
+def build_sequences(ratings: np.ndarray, catalog: MovieCatalog) -> tuple[Users, int]:
     """Per-user 5-movie windows from a :data:`RATING_DTYPE` array.
 
-    Rows whose movie is not in ``movies`` (unknown id or genre-less) are
+    Rows whose movie is not in ``catalog`` (unknown id or genre-less) are
     removed first; users left with fewer than five rows are dropped.  The
     rest sort by (user, timestamp, movie id), stably, so exact duplicates
     keep file order, and each user keeps the last five.  Returns
     ``(users, dropped_users)`` so that ``dropped + len(users)`` equals the
     number of distinct users seen; ``users`` is sorted by user id.
     """
-    ids, table = _catalog_table(movies)
+    ids = catalog.ids
     user, movie, timestamp = ratings["user_id"], ratings["movie_id"], ratings["timestamp"]
     pos = np.searchsorted(ids, movie)
     known = np.zeros(len(ratings), dtype=bool)
     inside = pos < ids.size
     known[inside] = ids[pos[inside]] == movie[inside]
 
-    rows = np.flatnonzero(known)
-    rows = rows[np.lexsort((movie[rows], timestamp[rows], user[rows]))]
+    # One sort of every row counts the users seen; its known rows keep
+    # the order a sort of the known rows alone would give.
+    rows = np.lexsort((movie, timestamp, user))
+    grouped = user[rows]
+    seen = np.count_nonzero(grouped[1:] != grouped[:-1]) + int(grouped.size > 0)
+    rows = rows[known[rows]]
     grouped = user[rows]
     ends = np.flatnonzero(np.r_[grouped[1:] != grouped[:-1], grouped.size > 0])
     sizes = np.diff(ends, prepend=-1)
@@ -273,9 +272,9 @@ def build_sequences(
         movie_id=movie[window],
         rating=ratings["rating"][window],
         timestamp=timestamp[window],
-        genres=table[pos[window]],
+        genres=catalog.genres[pos[window]],
     )
-    return users, np.unique(user).size - len(users)
+    return users, seen - len(users)
 
 
 @dataclass(frozen=True)

@@ -94,14 +94,6 @@ class TestClusterMetrics:
         assert cm.p_min == pytest.approx(0.25)
         assert cm.n_samples == (3 + 1 + 9 + 50) // 19
 
-    def test_p_min_with_wider_set(self):
-        cm = cluster_metrics(0, ConfusionCounts(3, 1, 9, 50), ("precision", "recall", "accuracy", "f1"))
-        assert cm.p_min == pytest.approx(min(cm.recall, cm.precision, cm.accuracy, cm.f1))
-
-    def test_unknown_metric_name(self):
-        with pytest.raises(ValueError):
-            cluster_metrics(0, ConfusionCounts(1, 1, 1, 1), ("not-a-metric",))
-
 
 def cm(cluster, p_min):
     return ClusterMetrics(cluster, 0.5, 0.5, 0.5, 0.5, p_min)

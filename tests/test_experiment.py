@@ -244,6 +244,15 @@ class TestRunExperiment:
         assert at[2] == ac[2]
         assert at[0] != ac[0]
 
+    def test_trim_that_zeroes_nothing_recorded(self):
+        # A uniform chain spreads every genre over far more than 1% of a
+        # cluster's events, so no selected cluster's trim zeroes a genre.
+        uniform = np.full((19, 19), 1.0 / 19)
+        report = run_experiment(small_config(synthetic=SyntheticSpec(300, uniform, seed=5), theta=0.01))
+        tags = ("RNN", "Product")
+        assert report.at_skipped == {tags: {c: "trim zeroed no genre" for c in (0, 1, 2)}}
+        assert report.at_metrics[tags] == report.ac_metrics[tags]
+
     def test_bt_rows_copy_ac_rows(self, tmp_path):
         report = run_experiment(small_config(tmp_path))
         assert report.get("RNN", "Product", "BT-mean").f1 == report.get("RNN", "Product", "AC-mean").f1

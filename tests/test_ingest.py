@@ -7,6 +7,7 @@ from genreseq.errors import InvalidSpec, MalformedRow, RatingOutOfRange
 from genreseq.genres import GENRES, genre_index
 from genreseq.ingest import (
     RATING_DTYPE,
+    MovieCatalog,
     SyntheticSpec,
     Users,
     _scan_ratings,
@@ -36,9 +37,10 @@ class TestLoadMovies:
             '11,"Heat, The (1995)",Crime|Thriller\n',
         )
         catalog = load_movies(path)
-        assert set(np.flatnonzero(catalog[7])) == {genre_index("Action"), genre_index("War")}
-        assert set(np.flatnonzero(catalog[11])) == {genre_index("Crime"), genre_index("Thriller")}
-        assert len(catalog) == 2
+        assert catalog.ids.dtype == np.int64 and catalog.ids.tolist() == [7, 11]
+        assert set(np.flatnonzero(catalog.genres[0])) == {genre_index("Action"), genre_index("War")}
+        assert set(np.flatnonzero(catalog.genres[1])) == {genre_index("Crime"), genre_index("Thriller")}
+        assert catalog.genres.shape == (2, 19)
 
     def test_no_genres_listed_skipped_and_tallied(self, tmp_path):
         path = write(
@@ -47,9 +49,40 @@ class TestLoadMovies:
             "movieId,title,genres\n8,Empty (2002),(no genres listed)\n9,Ok,Drama\n",
         )
         catalog = load_movies(path)
-        assert 8 not in catalog
-        assert 9 in catalog
+        assert catalog.ids.tolist() == [9]
         assert catalog.skipped_no_genre == 1
+
+    def test_ids_sorted_and_repeated_id_keeps_last_row(self, tmp_path):
+        path = write(
+            tmp_path,
+            "movies.csv",
+            "movieId,title,genres\n30,A,Drama\n-4,B,Horror\n30,C,Comedy|War\n30,D,(no genres listed)\n",
+        )
+        catalog = load_movies(path)
+        assert catalog.ids.tolist() == [-4, 30]
+        assert set(np.flatnonzero(catalog.genres[0])) == {genre_index("Horror")}
+        assert set(np.flatnonzero(catalog.genres[1])) == {genre_index("Comedy"), genre_index("War")}
+        assert catalog.skipped_no_genre == 1
+
+    def test_catalog_columns_checked(self):
+        one_hot = np.eye(19)[:2]
+        with pytest.raises(ValueError, match="ascending and unique"):
+            MovieCatalog(np.array([5, 3]), one_hot)
+        with pytest.raises(ValueError, match="ascending and unique"):
+            MovieCatalog(np.array([3, 3]), one_hot)
+        with pytest.raises(ValueError, match="one genre row each"):
+            MovieCatalog(np.array([3]), one_hot)
+
+    def test_no_movies(self, tmp_path):
+        catalog = load_movies(write(tmp_path, "movies.csv", "movieId,title,genres\n"))
+        assert catalog.ids.shape == (0,) and catalog.genres.shape == (0, 19)
+
+    @pytest.mark.parametrize("raw_id", ["99999999999999999999", "-9223372036854775809"])
+    def test_id_outside_int64_is_malformed(self, tmp_path, raw_id):
+        path = write(tmp_path, "movies.csv", f"movieId,title,genres\n1,A,Drama\n{raw_id},B,Comedy\n")
+        with pytest.raises(MalformedRow) as err:
+            load_movies(path)
+        assert err.value.line_number == 3
 
     def test_empty_genre_field(self, tmp_path):
         path = write(tmp_path, "movies.csv", "movieId,title,genres\n9,Bad,\n")
@@ -185,20 +218,18 @@ def table(events):
 
 
 @pytest.fixture
-def movie_map():
-    movies = {}
+def catalog():
+    """Movies 1-7, one genre each."""
     names = ["Action", "Comedy", "Drama", "Horror", "Romance", "War", "Western"]
-    for i, name in enumerate(names, start=1):
-        vec = np.zeros(19)
-        vec[genre_index(name)] = 1.0
-        movies[i] = vec
-    return movies
+    genres = np.zeros((len(names), 19))
+    genres[np.arange(len(names)), [genre_index(name) for name in names]] = 1.0
+    return MovieCatalog(np.arange(1, len(names) + 1), genres)
 
 
 class TestBuildSequences:
     # load_ratings keeps file order; build_sequences is the one place that
     # orders events, so these two feed it unsorted rows from a file.
-    def test_sorted_by_time(self, tmp_path, movie_map):
+    def test_sorted_by_time(self, tmp_path, catalog):
         path = write(
             tmp_path,
             "ratings.csv",
@@ -206,48 +237,48 @@ class TestBuildSequences:
             "2,1,3.0,50\n1,5,4.0,500\n1,1,3.0,100\n2,2,3.0,10\n1,3,3.0,300\n"
             "1,6,4.0,600\n1,2,3.0,200\n1,4,3.0,400\n",
         )
-        users, dropped = build_sequences(load_ratings(path), movie_map)
+        users, dropped = build_sequences(load_ratings(path), catalog)
         assert dropped == 1 and len(users) == 1
         assert users.timestamp[0].tolist() == [200, 300, 400, 500, 600]
 
-    def test_tie_broken_by_movie_id(self, tmp_path, movie_map):
+    def test_tie_broken_by_movie_id(self, tmp_path, catalog):
         path = write(
             tmp_path,
             "ratings.csv",
             "userId,movieId,rating,timestamp\n"
             "1,7,4.0,100\n1,3,3.0,100\n1,5,3.0,100\n1,1,3.0,200\n1,6,3.0,100\n1,2,3.0,100\n",
         )
-        users, _ = build_sequences(load_ratings(path), movie_map)
+        users, _ = build_sequences(load_ratings(path), catalog)
         assert len(users) == 1
         assert users.movie_id[0].tolist() == [3, 5, 6, 7, 1]
 
-    def test_five_most_recent_kept(self, movie_map):
+    def test_five_most_recent_kept(self, catalog):
         events = [event(1, (t % 7) + 1, ts=t) for t in range(1, 8)]
-        users, dropped = build_sequences(table(events), movie_map)
+        users, dropped = build_sequences(table(events), catalog)
         assert dropped == 0 and len(users) == 1
         assert users.timestamp[0].tolist() == [3, 4, 5, 6, 7]
 
-    def test_below_threshold_dropped(self, movie_map):
+    def test_below_threshold_dropped(self, catalog):
         events = [event(1, 1, ts=t) for t in range(4)]
-        users, dropped = build_sequences(table(events), movie_map)
+        users, dropped = build_sequences(table(events), catalog)
         assert len(users) == 0
         assert dropped == 1
 
-    def test_unknown_movie_removed_before_threshold(self, movie_map):
+    def test_unknown_movie_removed_before_threshold(self, catalog):
         # Six events, one referencing a movie outside the catalog: the
         # stated filter order removes it first, five remain, the user is
         # kept and the window is the five surviving events.
         events = [event(1, m, ts=t) for t, m in enumerate([1, 2, 999, 3, 4, 5], start=1)]
-        users, dropped = build_sequences(table(events), movie_map)
+        users, dropped = build_sequences(table(events), catalog)
         assert dropped == 0 and len(users) == 1
         assert users.movie_id[0].tolist() == [1, 2, 3, 4, 5]
 
-    def test_exactly_five_valid_kept(self, movie_map):
+    def test_exactly_five_valid_kept(self, catalog):
         events = [event(2, m, ts=m) for m in range(1, 6)]
-        users, dropped = build_sequences(table(events), movie_map)
+        users, dropped = build_sequences(table(events), catalog)
         assert len(users) == 1 and dropped == 0
 
-    def test_tally_conservation(self, movie_map):
+    def test_tally_conservation(self, catalog):
         rng = np.random.default_rng(5)
         events = []
         for user in range(1, 40):
@@ -255,25 +286,28 @@ class TestBuildSequences:
             for t in range(n):
                 movie = int(rng.integers(1, 9))  # movie 8 is unknown
                 events.append(event(user, movie, ts=t, rating=2.5))
-        users, dropped = build_sequences(table(events), movie_map)
+        users, dropped = build_sequences(table(events), catalog)
         assert dropped + len(users) == 39
 
-    def test_deterministic(self, movie_map):
+    def test_deterministic(self, catalog):
         events = table([event(1, (t % 7) + 1, ts=t) for t in range(10)])
-        first = build_sequences(events, movie_map)
-        second = build_sequences(events, movie_map)
+        first = build_sequences(events, catalog)
+        second = build_sequences(events, catalog)
         assert first[1] == second[1]
         for name in ("user_id", "movie_id", "rating", "timestamp", "genres"):
             assert np.array_equal(getattr(first[0], name), getattr(second[0], name))
 
-    def test_no_known_movies(self, movie_map):
-        users, dropped = build_sequences(table([event(3, 999, ts=t) for t in range(6)]), movie_map)
+    def test_no_known_movies(self, catalog):
+        users, dropped = build_sequences(table([event(3, 999, ts=t) for t in range(6)]), catalog)
         assert len(users) == 0 and users.genres.shape == (0, 5, 19)
         assert dropped == 1
 
 
-def reference_windows(ratings_path, catalog):
-    """Plain-Python windowing: sort rows by (user, timestamp, movie), group, keep the last five."""
+def reference_windows(ratings_path, movies):
+    """Plain-Python windowing: sort rows by (user, timestamp, movie), group, keep the last five.
+
+    ``movies`` maps each movie id with genres to its genre row.
+    """
     with open(ratings_path, encoding="utf-8") as handle:
         next(handle)
         rows = []
@@ -283,7 +317,7 @@ def reference_windows(ratings_path, catalog):
     ordered = sorted(rows, key=lambda r: (r[0], r[3], r[1]))
     windows, dropped = [], 0
     for _, group in itertools.groupby(ordered, key=lambda r: r[0]):
-        known = [r for r in group if r[1] in catalog]
+        known = [r for r in group if r[1] in movies]
         if len(known) < 5:
             dropped += 1
         else:
@@ -325,7 +359,8 @@ class TestWindowingDifferential:
 
         catalog = load_movies(movies_path)
         users, dropped = build_sequences(load_ratings(ratings_path), catalog)
-        windows, expected_dropped = reference_windows(ratings_path, catalog)
+        movies = dict(zip(catalog.ids.tolist(), catalog.genres))
+        windows, expected_dropped = reference_windows(ratings_path, movies)
 
         assert dropped == expected_dropped
         assert 0 < len(users) == len(windows) < len(user_ids)
@@ -333,7 +368,7 @@ class TestWindowingDifferential:
         assert users.movie_id.tolist() == [[r[1] for r in w] for w in windows]
         assert users.rating.tolist() == [[r[2] for r in w] for w in windows]
         assert users.timestamp.tolist() == [[r[3] for r in w] for w in windows]
-        expected_genres = np.array([[catalog[r[1]] for r in w] for w in windows])
+        expected_genres = np.array([[movies[r[1]] for r in w] for w in windows])
         assert np.array_equal(users.genres, expected_genres)
 
 
