@@ -18,6 +18,13 @@ so that rating profiles form tight, well-separated blobs.  Every user
 carries six rating events (the 5-most-recent window drops the oldest),
 some users carry an extra event on a genre-less movie, and a few casual
 users fall below the eligibility threshold on purpose.
+
+A given ``(users_per_archetype, seed)`` writes the same bytes on a given
+numpy build.  The draw order: the catalog, then user by user the bucket
+draws of the history followed by one bounded-int draw of every event's
+(movie, rating) index pair, in event order.  numpy takes bounded ints from
+the stream element by element (a bound of 1 takes nothing), so that one
+call equals the scalar per-event loop that ``tests/test_datagen.py`` keeps.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidSpec
 from .ingest import NO_GENRES_TOKEN
 
 N_ARCHETYPES = 7
@@ -152,6 +160,8 @@ def write_archetype_dataset(
     the decision boundary between their two next-movie rules.  Total
     eligible users = 7 * users_per_archetype.
     """
+    if users_per_archetype < 1:
+        raise InvalidSpec("users_per_archetype must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -164,7 +174,8 @@ def write_archetype_dataset(
 
     heavy = int(round(users_per_archetype * 1.2))
     light = 2 * users_per_archetype - heavy
-    # (users, rating grid, bucket draw) per archetype, in user-id order.
+    # (users, rating grid, bucket draw) per archetype, in user-id order, then
+    # a few casual users below the five-movie eligibility threshold.
     roster = [
         (heavy, _TWIN_HI_RATINGS, lambda: _twin_buckets(rng, "p1", 1)),
         (light, _TWIN_LO_RATINGS, lambda: _twin_buckets(rng, "p1", 2)),
@@ -173,33 +184,30 @@ def write_archetype_dataset(
         (users_per_archetype, _SHARP_RATINGS, lambda: _patterned_buckets(rng, "sharp")),
         (users_per_archetype, _CLASSICS_RATINGS, lambda: _patterned_buckets(rng, "cls")),
         (users_per_archetype, _DIFFUSE_RATINGS, lambda: _diffuse_buckets(rng)),
+        (25, (3.0,), lambda: ["p1_t0"] * 3),
     ]
 
-    genreless = buckets["none"]
-    ratings_rows: list[tuple[int, int, float, int]] = []
-    user_id = 0
+    # Per user: the bucket draws, then one draw of every event's (movie, rating) pair.
+    keys: list[str] = []
+    sizes: list[int] = []
+    picks: list[np.ndarray] = []
+    ratings: list[np.ndarray] = []
     for count, grid, draw in roster:
-        for _ in range(count):
-            user_id += 1
-            base = 1_000_000_000 + user_id * 100
-            for j, bucket in enumerate(draw()):
-                ids = buckets[bucket]
-                movie_id = ids[rng.integers(0, len(ids))]
-                rating = float(rng.choice(grid))
-                ratings_rows.append((user_id, movie_id, rating, base + 10 * j))
-            if user_id % 50 == 0:
-                # An event on a genre-less movie; filtered out by ingestion.
-                movie_id = genreless[rng.integers(0, len(genreless))]
-                ratings_rows.append((user_id, movie_id, float(rng.choice(grid)), base + 25))
+        before = len(sizes)
+        for user_id in range(before + 1, before + count + 1):
+            user_keys = draw()
+            if user_id % 50 == 0 and user_id <= N_ARCHETYPES * users_per_archetype:
+                user_keys.append("none")  # a genre-less movie; filtered out by ingestion
+            picks.append(rng.integers(0, [n for k in user_keys for n in (len(buckets[k]), len(grid))]))
+            keys += user_keys
+            sizes.append(len(user_keys))
+        ratings.append(np.asarray(grid)[np.concatenate(picks[before:])[1::2]])
 
-    # A few casual users below the five-movie eligibility threshold.
-    any_bucket = buckets["p1_t0"]
-    for _ in range(25):
-        user_id += 1
-        base = 1_000_000_000 + user_id * 100
-        for j in range(3):
-            movie_id = any_bucket[rng.integers(0, len(any_bucket))]
-            ratings_rows.append((user_id, movie_id, 3.0, base + 10 * j))
+    movie = np.array([buckets[k].start for k in keys]) + np.concatenate(picks)[0::2]
+    rating = np.concatenate(ratings)
+    user = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    event = np.arange(user.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    timestamp = 1_000_000_000 + 100 * user + np.array([0, 10, 20, 30, 40, 50, 25])[event]
 
     movies_path = out / "movies.csv"
     with open(movies_path, "w", newline="", encoding="utf-8") as handle:
@@ -211,6 +219,6 @@ def write_archetype_dataset(
     with open(ratings_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["userId", "movieId", "rating", "timestamp"])
-        writer.writerows(ratings_rows)
+        writer.writerows(zip(user.tolist(), movie.tolist(), rating.tolist(), timestamp.tolist()))
 
     return movies_path, ratings_path
