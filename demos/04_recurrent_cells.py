@@ -66,11 +66,16 @@ for cell in CellKind:
 dataset = Dataset(np.tile(inputs, (12, 1, 1)), np.tile(target, (12, 1)))
 print("\noverfitting 12 copies of one sample (loss first -> last):")
 for cell in CellKind:
-    result = train(dataset, cell, TrainConfig(epochs=300, hidden_dim=8, batch_size=12, seed=0))
+    (result,) = train([dataset], cell, [TrainConfig(epochs=300, hidden_dim=8, batch_size=12, seed=0)])
     print(f"  {cell.value:<4} {result.losses[0]:.4f} -> {result.losses[-1]:.5f}")
 
 # --- checkpointing -----------------------------------------------------------
-final = train(dataset, CellKind.GRU, TrainConfig(epochs=50, hidden_dim=8, seed=0)).params
+# train() fits a stack of models that share a cell, one config but the
+# seed, and a dataset shape; each model's result is that of a lone fit.
+stack = train([dataset] * 2, CellKind.GRU, [TrainConfig(epochs=50, hidden_dim=8, seed=s) for s in (0, 1)])
+(lone,) = train([dataset], CellKind.GRU, [TrainConfig(epochs=50, hidden_dim=8, seed=1)])
+print(f"\nstacked fit of 2 seeds: seed 1 equals its lone fit = {stack[1].losses == lone.losses}")
+final = stack[0].params
 path = save_checkpoint(final, Path(tempfile.mkdtemp()) / "gru_model")
 restored = load_checkpoint(path)
 same = bool(np.array_equal(predict(final, inputs), predict(restored, inputs)))

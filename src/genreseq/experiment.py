@@ -45,6 +45,7 @@ from .transitions import (
     Dataset,
     FeatureMode,
     TransitionModel,
+    feature_dim,
     featurize,
     genre_samples,
     write_probability_csv,
@@ -169,7 +170,11 @@ def _load_users(config: ExperimentConfig) -> tuple[Users, dict[str, int]]:
 
 
 def _subsample(users: Users, config: ExperimentConfig) -> Users:
-    if config.max_users is None or len(users) <= config.max_users:
+    if config.max_users is None:
+        return users
+    if config.max_users < 1:
+        raise ValueError(f"max_users (--max-users) must be >= 1, got {config.max_users}")
+    if len(users) <= config.max_users:
         return users
     rng = np.random.default_rng(derive_seed(config.seed, "sample"))
     idx = rng.choice(len(users), size=config.max_users, replace=False)
@@ -180,21 +185,29 @@ def _fit_and_score(
     samples: tuple[Dataset, Dataset],
     probs: np.ndarray,
     cell: CellKind,
-    mode: FeatureMode,
-    seed: int,
+    seeds: dict[FeatureMode, int],
     cluster: int,
     config: ExperimentConfig,
-) -> ClusterMetrics:
-    """Featurize (train, test) samples, fit one model on train, score it on test.
+) -> dict[FeatureMode, ClusterMetrics]:
+    """Fit one model per mode in ``seeds`` (with its seed) as one stack, and score each.
 
-    Datasets are built per fit and dropped after it, so only one fit's
-    inputs are alive at a time.
+    The modes must share an input width.  The stack's training inputs are
+    dropped before the test sets are featurized, and those are featurized
+    and scored one mode at a time, so the training inputs of one stack and
+    one test set are never alive together.
     """
     train_samples, test_samples = samples
-    train_cfg = replace(config.train, seed=seed)
-    params = train(featurize(train_samples, probs, mode), cell, train_cfg).params
-    test = featurize(test_samples, probs, mode)
-    return cluster_metrics(cluster, confusion_counts(predict(params, test.inputs), test.targets))
+    results = train(
+        [featurize(train_samples, probs, mode) for mode in seeds],
+        cell,
+        [replace(config.train, seed=seed) for seed in seeds.values()],
+    )
+    scores = {}
+    for mode, result in zip(seeds, results):
+        test = featurize(test_samples, probs, mode)
+        counts = confusion_counts(predict(result.params, test.inputs), test.targets)
+        scores[mode] = cluster_metrics(cluster, counts)
+    return scores
 
 
 def _summary(
@@ -215,6 +228,9 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     ``movies_skipped_no_genre`` and ``users_dropped`` (fewer than five
     rated movies with genres).
     """
+    for name, values in (("cells", config.cells), ("modes", config.modes)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} repeat: {', '.join(v.value for v in values)}")
     users, funnel = _load_users(config)
     users = _subsample(users, config)
     funnel["users_after_max_users"] = len(users)
@@ -244,46 +260,70 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             f"no cluster has a test sample ({len(users)} users in {len(clusters)} clusters)"
         )
 
-    rows: list[ReportRow] = []
-    ac_details: dict[tuple[str, str], tuple[ClusterMetrics, ...]] = {}
-    at_details: dict[tuple[str, str], tuple[ClusterMetrics, ...]] = {}
-    at_skipped: dict[tuple[str, str], dict[int, str]] = {}
+    # The modes of one input width train as one stack per group: Concat
+    # alone, the others together.
+    widths = [feature_dim(mode) for mode in config.modes]
+    stacks = [
+        [mode for mode, w in zip(config.modes, widths) if w == width] for width in dict.fromkeys(widths)
+    ]
+    # Every per-(cell, mode) result is keyed in report order.
+    order = [(cell.value, mode.value) for cell in config.cells for mode in config.modes]
+    tables: dict[tuple[str, str], tuple] = {}
+    ac_details = dict.fromkeys(order, ())
+    at_details = dict.fromkeys(order, ())
+    at_skipped: dict[tuple[str, str], dict[int, str]] = {tags: {} for tags in order}
 
     for cell in config.cells:
-        for mode in config.modes:
-            tags = (cell.value, mode.value)
-            seeds = {g: derive_seed(config.seed, *fit, *tags) for g, (_, _, fit) in groups.items()}
-            scores = {
-                g: _fit_and_score(samples[g], probs[g], cell, mode, seeds[g], g, config)
+        for modes in stacks:
+            seeds = {
+                g: {mode: derive_seed(config.seed, *fit, cell.value, mode.value) for mode in modes}
+                for g, (_, _, fit) in groups.items()
+            }
+            fitted = {
+                g: _fit_and_score(samples[g], probs[g], cell, seeds[g], g, config)
                 for g in groups
                 if g not in untested
             }
-            bc = scores.pop(-1)
-            ac_best, ac_worst, ac_mean = _summary(scores, config.weighted_means)
-            ac_details[tags] = tuple(scores.values())
+            scores = {mode: {g: fitted[g][mode] for g in fitted} for mode in modes}
+            bc = {mode: scores[mode].pop(-1) for mode in modes}
+            ac = {mode: _summary(scores[mode], config.weighted_means) for mode in modes}
+            selected = {mode: select_trim_clusters(scores[mode].values(), config.eta) for mode in modes}
 
-            at = dict(scores)
-            at_skipped[tags] = {}
-            for c in sorted(select_trim_clusters(scores.values(), config.eta)):
+            # AT retrains each selected cluster, as one stack of the modes
+            # that selected it, each with its AC seed.
+            at = {mode: dict(scores[mode]) for mode in modes}
+            for c in sorted(set().union(*selected.values())):
+                chosen = {mode: seeds[c][mode] for mode in modes if c in selected[mode]}
                 mgm = MovieGenreMatrix.from_sequences(c, users[groups[c][0]])
                 _, zeroed = trim_genres(mgm, config.theta)
                 if not zeroed:
-                    at_skipped[tags][c] = "trim zeroed no genre"
-                    continue
-                trimmed = tuple(apply_trim_to_dataset(d, zeroed)[0] for d in samples[c])
-                if all(trimmed):
-                    at[c] = _fit_and_score(trimmed, probs[c], cell, mode, seeds[c], c, config)
+                    reason = "trim zeroed no genre"
                 else:
+                    trimmed = tuple(apply_trim_to_dataset(d, zeroed)[0] for d in samples[c])
+                    if all(trimmed):
+                        for mode, m in _fit_and_score(trimmed, probs[c], cell, chosen, c, config).items():
+                            at[mode][c] = m
+                        continue
                     emptied = [name for name, d in zip(("training", "test"), trimmed) if not d]
-                    at_skipped[tags][c] = f"trim left no {' or '.join(emptied)} samples"
-            _, at_worst, at_mean = _summary(at, config.weighted_means)
-            at_details[tags] = tuple(at.values())
+                    reason = f"trim left no {' or '.join(emptied)} samples"
+                for mode in chosen:
+                    at_skipped[(cell.value, mode.value)][c] = reason
 
-            table = (("all", bc), ac_best, ac_worst, ac_mean, ac_mean, ac_worst, at_worst, at_mean)
-            rows.extend(
-                ReportRow(*tags, stage, cluster, m.recall, m.precision, m.accuracy, m.f1)
-                for stage, (cluster, m) in zip(STAGES, table)
-            )
+            for mode in modes:
+                tags = (cell.value, mode.value)
+                _, at_worst, at_mean = _summary(at[mode], config.weighted_means)
+                ac_best, ac_worst, ac_mean = ac[mode]
+                tables[tags] = (
+                    ("all", bc[mode]), ac_best, ac_worst, ac_mean, ac_mean, ac_worst, at_worst, at_mean
+                )
+                ac_details[tags] = tuple(scores[mode].values())
+                at_details[tags] = tuple(at[mode].values())
+
+    rows = [
+        ReportRow(*tags, stage, cluster, m.recall, m.precision, m.accuracy, m.f1)
+        for tags in order
+        for stage, (cluster, m) in zip(STAGES, tables[tags])
+    ]
 
     report = EvalReport(tuple(rows), ac_details, at_details, untested, at_skipped, funnel)
     if config.out_dir is not None:

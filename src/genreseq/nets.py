@@ -34,12 +34,24 @@ only passes a gradient back to h_0 (the RNN's ``dh``, the LSTM's four
 ``dz @ W_*``, the GRU's ``da @ W`` and two ``dh_prev`` GEMMs).  The
 gated cells' forward GEMMs still read the zero h_0 columns: dropping
 them would change the GEMM operands and so the rounding.
+
+The kernels (``forward_sequence``, ``backward``, ``bce_loss``) take an
+optional leading model axis: when every weight of a :class:`NetParams`
+carries one extra leading axis of length M, the params are a stack of M
+models that share a cell and its dimensions.  Inputs are then
+(M, B, T, d) and targets (M, B, o), row m holding model m's batch; every
+GEMM is a batched ``np.matmul`` over that axis (one BLAS call per model,
+as a lone model gets), reductions run over each model's own rows, and
+``bce_loss`` returns one mean per model.  Each model's numbers are bit
+for bit those of a lone call.  :func:`train` steps a stack of M fits with
+one call of each kernel per step; a lone fit is a stack of one.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +88,7 @@ class TrainConfig:
             raise ValueError("learning_rate must be >= 0")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
-        if self.epochs < 0 or self.batch_size < 1 or self.hidden_dim < 1:
+        if self.epochs < 1 or self.batch_size < 1 or self.hidden_dim < 1:
             raise ValueError("epochs, batch_size and hidden_dim must be positive")
         if self.init_scale <= 0:
             raise ValueError("init_scale must be > 0")
@@ -84,7 +96,11 @@ class TrainConfig:
 
 @dataclass
 class NetParams:
-    """A cell's weight matrices and bias vectors, keyed by name."""
+    """A cell's weight matrices and bias vectors, keyed by name.
+
+    Every weight may carry one extra leading axis of a common length M;
+    the params are then a stack of M models (see the module docstring).
+    """
 
     cell: CellKind
     input_dim: int
@@ -98,11 +114,17 @@ class NetParams:
             raise ShapeMismatch(
                 f"parameter names {sorted(self.weights)} != {sorted(expected)}"
             )
+        stack = self.stack
         for name, shape in expected.items():
-            if self.weights[name].shape != shape:
+            if self.weights[name].shape != stack + shape:
                 raise ShapeMismatch(
-                    f"{name}: shape {self.weights[name].shape}, expected {shape}"
+                    f"{name}: shape {self.weights[name].shape}, expected {stack + shape}"
                 )
+
+    @property
+    def stack(self) -> tuple[int, ...]:
+        """``(M,)`` for a stack of M models, ``()`` for one model."""
+        return self.weights["V"].shape[:-2]
 
 
 def parameter_shapes(
@@ -159,14 +181,14 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
 
 
 def _rnn_cell(x_t: np.ndarray, state: tuple, w: dict, out=None) -> tuple[tuple, tuple]:
-    """RNN update on (B, d) / (B, h) arrays: new ``(h,)`` and no extra activations.
+    """RNN update on (..., B, d) / (..., B, h) arrays: new ``(h,)`` and no extra activations.
 
     ``h_prev`` None is the zero initial state, so its ``W`` GEMM is skipped.
     """
     (h_prev,) = state
-    a = x_t @ w["U"].T
+    a = x_t @ w["U"].swapaxes(-1, -2)
     if h_prev is not None:
-        a += h_prev @ w["W"].T
+        a += h_prev @ w["W"].swapaxes(-1, -2)
     a += w["b"]
     return (np.tanh(a, out=a if out is None else out),), ()
 
@@ -174,12 +196,12 @@ def _rnn_cell(x_t: np.ndarray, state: tuple, w: dict, out=None) -> tuple[tuple, 
 def _lstm_cell(x_t: np.ndarray, state: tuple, w: dict, out=None) -> tuple[tuple, tuple]:
     """LSTM update: new ``(h, c)`` and ``(zcat, c_prev, f, i, g, o, tanh_c)``."""
     h_prev, c_prev = state
-    zcat = np.concatenate([h_prev, x_t], axis=1)
-    f = _sigmoid(zcat @ w["W_f"].T + w["b_f"])
-    i = _sigmoid(zcat @ w["W_i"].T + w["b_i"])
-    g = np.tanh(zcat @ w["W_c"].T + w["b_c"])
+    zcat = np.concatenate([h_prev, x_t], axis=-1)
+    f = _sigmoid(zcat @ w["W_f"].swapaxes(-1, -2) + w["b_f"])
+    i = _sigmoid(zcat @ w["W_i"].swapaxes(-1, -2) + w["b_i"])
+    g = np.tanh(zcat @ w["W_c"].swapaxes(-1, -2) + w["b_c"])
     c = f * c_prev + i * g
-    o = _sigmoid(zcat @ w["W_o"].T + w["b_o"])
+    o = _sigmoid(zcat @ w["W_o"].swapaxes(-1, -2) + w["b_o"])
     tanh_c = np.tanh(c)
     return (np.multiply(o, tanh_c, out=out), c), (zcat, c_prev, f, i, g, o, tanh_c)
 
@@ -187,11 +209,11 @@ def _lstm_cell(x_t: np.ndarray, state: tuple, w: dict, out=None) -> tuple[tuple,
 def _gru_cell(x_t: np.ndarray, state: tuple, w: dict, out=None) -> tuple[tuple, tuple]:
     """GRU update: new ``(h,)`` and ``(zcat, acat, z, r, hbar)``."""
     (h_prev,) = state
-    zcat = np.concatenate([h_prev, x_t], axis=1)
-    z = _sigmoid(zcat @ w["W_z"].T)
-    r = _sigmoid(zcat @ w["W_r"].T)
-    acat = np.concatenate([r * h_prev, x_t], axis=1)
-    hbar = np.tanh(acat @ w["W"].T)
+    zcat = np.concatenate([h_prev, x_t], axis=-1)
+    z = _sigmoid(zcat @ w["W_z"].swapaxes(-1, -2))
+    r = _sigmoid(zcat @ w["W_r"].swapaxes(-1, -2))
+    acat = np.concatenate([r * h_prev, x_t], axis=-1)
+    hbar = np.tanh(acat @ w["W"].swapaxes(-1, -2))
     return (np.add((1.0 - z) * h_prev, z * hbar, out=out),), (zcat, acat, z, r, hbar)
 
 
@@ -229,51 +251,64 @@ def gru_step(x_t: np.ndarray, h_prev: np.ndarray, params: NetParams) -> np.ndarr
 def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray, dict]:
     """Run the cell over the input steps and apply the sigmoid head.
 
-    ``inputs`` is (T, d) for one sample or (B, T, d) for a batch; the
-    initial hidden (and cell) state is zero.  Returns per-genre
-    probabilities and a cache of every activation the backward pass needs.
+    ``inputs`` is (T, d) for one sample or (B, T, d) for a batch, and
+    (M, B, T, d) for a stack of M models; the initial hidden (and cell)
+    state is zero.  Returns per-genre probabilities and a cache of every
+    activation the backward pass needs.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    single = x.ndim == 2
+    stack = params.stack
+    single = not stack and x.ndim == 2
     if single:
         x = x[None]
-    if x.ndim != 3 or x.shape[2] != params.input_dim:
-        raise ShapeMismatch(f"inputs: got shape {np.shape(inputs)}, expected (*, T, {params.input_dim})")
+    if x.ndim != len(stack) + 3 or x.shape[:-3] != stack or x.shape[-1] != params.input_dim:
+        lead = "".join(f"{m}, " for m in stack)
+        raise ShapeMismatch(
+            f"inputs: got shape {np.shape(inputs)}, expected ({lead}*, T, {params.input_dim})"
+        )
+    batch, steps = x.shape[-3:-1]
     # The cells add each bias once per step.  Copy it out to (B, h) rows
     # once per call: a same-shape add costs about half of a (h,) broadcast
     # add, and the sums are the same.  b_out is added once per call, so it
     # stays as it is.
     w = {
-        name: _rows(v, x.shape[0]) if v.ndim == 1 and name != "b_out" else v
+        name: _rows(v, batch) if name.startswith("b") and name != "b_out" else v
         for name, v in params.weights.items()
     }
     cell = _CELLS[params.cell]
 
     # hs[0] is h_0 = 0 and hs[t + 1] receives h_t.  The RNN is handed None
     # for h_0, so it skips that GEMM; the gated cells read the zeros.
-    hs = np.zeros((x.shape[1] + 1, x.shape[0], params.hidden_dim))
+    hs = np.zeros((steps + 1, *stack, batch, params.hidden_dim))
     h0 = hs[0]
-    state = {CellKind.RNN: (None,), CellKind.LSTM: (h0, h0), CellKind.GRU: (h0,)}[params.cell]
+    if params.cell is CellKind.RNN:
+        state = (None,)
+    else:
+        state = (h0, h0) if params.cell is CellKind.LSTM else (h0,)
+    xs = x.transpose(-2, *range(x.ndim - 2), -1)  # xs[t] is x_t
     acts = []
-    for t in range(x.shape[1]):
-        state, a = cell(x[:, t], state, w, hs[t + 1])
+    for t, x_t in enumerate(xs):
+        state, a = cell(x_t, state, w, hs[t + 1])
         acts.append(a)
 
-    z = hs[-1] @ w["V"].T
-    z += w["b_out"]
+    z = hs[-1] @ w["V"].swapaxes(-1, -2)
+    z += w["b_out"][..., None, :]
     y = _sigmoid(z)
-    return (y[0] if single else y), {"x": x, "h": hs, "y": y, "acts": acts}
+    return (y[0] if single else y), {"xs": xs, "h": hs, "y": y, "acts": acts}
 
 
 def _rows(v: np.ndarray, n: int) -> np.ndarray:
-    """``v`` copied into each of ``n`` rows."""
-    rows = np.empty((n, v.size))
-    rows[...] = v
+    """``v`` (..., h) copied into each of ``n`` rows: (..., n, h)."""
+    rows = np.empty((*v.shape[:-1], n, v.shape[-1]))
+    rows[...] = v[..., None, :]
     return rows
 
 
-def bce_loss(y: np.ndarray, target: np.ndarray) -> float:
-    """Mean over all cells of -[t ln y + (1 - t) ln(1 - y)], y clipped."""
+def bce_loss(y: np.ndarray, target: np.ndarray) -> float | np.ndarray:
+    """Mean over all cells of -[t ln y + (1 - t) ln(1 - y)], y clipped.
+
+    For a stack's (M, B, o) arrays, one mean per model, over its own rows.
+    """
     y = np.asarray(y, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if y.shape != target.shape:
@@ -285,11 +320,13 @@ def bce_loss(y: np.ndarray, target: np.ndarray) -> float:
     np.log(y, out=y)
     y *= 1.0 - target
     terms += y
-    return float(-(np.add.reduce(terms, axis=None) / terms.size))
+    # Each model's cells are one contiguous row, summed as a whole array is.
+    rows = terms.reshape(*terms.shape[:-2], -1)
+    return -(np.add.reduce(rows, axis=-1) / rows.shape[-1])
 
 
 def _sum_steps(out: np.ndarray, dz: np.ndarray, inputs: np.ndarray | None = None) -> None:
-    """``out = sum over t of dz[t].T @ inputs[t]``, or of ``dz[t].sum(axis=0)``.
+    """``out = sum over t of dz[t].T @ inputs[t]``, or of ``dz[t].sum(axis=-2)``.
 
     Each term gets its own GEMM (or row sum), and the terms are added from
     the last step down, as a loop accumulating while it walks t backward
@@ -298,22 +335,22 @@ def _sum_steps(out: np.ndarray, dz: np.ndarray, inputs: np.ndarray | None = None
     """
     dz = dz[::-1]
     if inputs is None:
-        terms = np.add.reduce(dz, axis=1)
+        terms = np.add.reduce(dz, axis=-2)
     else:
-        terms = np.matmul(dz.transpose(0, 2, 1), inputs[::-1])
+        terms = np.matmul(dz.swapaxes(-1, -2), inputs[::-1])
     np.add.reduce(terms, axis=0, out=out)
 
 
 def _add_step(out: np.ndarray, first: bool, dz: np.ndarray, inputs: np.ndarray | None = None) -> None:
     """``out = term`` when ``first``, else ``out += term``.
 
-    ``term`` is ``dz.T @ inputs``, or ``dz.sum(axis=0)`` without ``inputs``.
+    ``term`` is ``dz.T @ inputs``, or ``dz.sum(axis=-2)`` without ``inputs``.
     """
     dst = out if first else None
     if inputs is None:
-        term = np.add.reduce(dz, axis=0, out=dst)
+        term = np.add.reduce(dz, axis=-2, out=dst)
     else:
-        term = np.matmul(dz.T, inputs, out=dst)
+        term = np.matmul(dz.swapaxes(-1, -2), inputs, out=dst)
     if not first:
         out += term
 
@@ -325,21 +362,22 @@ def backward(
 
     Uses the sigmoid+cross-entropy identity at the head (d loss / d logit
     = (y - t) / cells) and unrolls the chosen cell backward through time.
+    For a stack, each model's gradients are those of its own mean loss.
     Each gradient is written into ``out[name]`` (fresh arrays when ``out``
     is None), every element of it, and ``out`` is returned.
     """
     w = params.weights
     grads = {k: np.empty_like(v) for k, v in w.items()} if out is None else out
-    x = cache["x"]
-    steps = x.shape[1]
+    xs = cache["xs"]
+    steps = len(xs)
     hidden = params.hidden_dim
     y = cache["y"]
     target = np.asarray(target, dtype=np.float64).reshape(y.shape)
 
-    dz_out = (y - target) / y.size
+    dz_out = (y - target) / (y.shape[-2] * y.shape[-1])
     hs, acts = cache["h"], cache["acts"]
-    np.matmul(dz_out.T, hs[-1], out=grads["V"])
-    np.add.reduce(dz_out, axis=0, out=grads["b_out"])
+    np.matmul(dz_out.swapaxes(-1, -2), hs[-1], out=grads["V"])
+    np.add.reduce(dz_out, axis=-2, out=grads["b_out"])
     dh = dz_out @ w["V"]
 
     # Each loop walks t down and skips the t = 0 work named in the module
@@ -355,7 +393,7 @@ def backward(
             np.multiply(dh, dz[t], out=dz[t])
             if t:
                 dh = dz[t] @ w["W"]
-        _sum_steps(grads["U"], dz, x.transpose(1, 0, 2))
+        _sum_steps(grads["U"], dz, xs)
         _sum_steps(grads["W"], dz[1:], hs[1:-1])
         _sum_steps(grads["b"], dz)
     elif params.cell is CellKind.LSTM:
@@ -381,7 +419,7 @@ def backward(
                 dzcat = gates[0][1] @ w["W_f"]
                 for name, dz in gates[1:]:
                     dzcat += dz @ w[f"W_{name}"]
-                dh = dzcat[:, :hidden]
+                dh = dzcat[..., :hidden]
                 dc_next = dc * f
     else:
         for t in range(steps - 1, -1, -1):
@@ -397,11 +435,11 @@ def backward(
             if t:
                 dh_prev = dh * (1.0 - z)
                 dacat = da @ w["W"]
-                dr = dacat[:, :hidden] * h_prev
-                dh_prev += dacat[:, :hidden] * r
+                dr = dacat[..., :hidden] * h_prev
+                dh_prev += dacat[..., :hidden] * r
                 dzr = dr * r * (1.0 - r)
                 _add_step(grads["W_r"], first, dzr, zcat)
-                dh_prev += (dzz @ w["W_z"])[:, :hidden] + (dzr @ w["W_r"])[:, :hidden]
+                dh_prev += (dzz @ w["W_z"])[..., :hidden] + (dzr @ w["W_r"])[..., :hidden]
                 dh = dh_prev
         if steps == 1:
             grads["W_r"][...] = 0.0  # h_0 = 0 leaves W_r no term
@@ -420,59 +458,104 @@ class TrainResult:
     losses: tuple[float, ...]
 
 
-def train(dataset: Dataset, cell: CellKind, config: TrainConfig) -> TrainResult:
-    """Seeded mini-batch gradient descent with momentum.
+def train(
+    datasets: Sequence[Dataset], cell: CellKind, configs: Sequence[TrainConfig]
+) -> list[TrainResult]:
+    """Seeded mini-batch gradient descent with momentum, for a stack of fits.
 
-    Params start uniform in [-init_scale, init_scale]; samples reshuffle
-    each epoch with the same generator, so a seed fixes the whole
-    trajectory.  Returns the final parameters and per-epoch mean loss.
+    Model m fits ``datasets[m]`` with ``configs[m]``.  The configs may
+    differ only in their seeds, and the datasets must have one length and
+    one sample shape, so that every model's batches line up.  Each model
+    has its own generator: its params start uniform in [-init_scale,
+    init_scale] and its samples reshuffle each epoch from it, so its seed
+    alone fixes its trajectory, bit for bit that of a lone fit.  Returns
+    each model's final parameters and per-epoch mean loss.
     """
-    n = len(dataset)
+    if not datasets or len(datasets) != len(configs):
+        raise ValueError(f"{len(datasets)} datasets for {len(configs)} configs")
+    config = configs[0]
+    if any(replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError("a stack's configs may differ only in their seeds")
+    n = len(datasets[0])
+    in_shape, out_shape = datasets[0].inputs.shape[1:], datasets[0].targets.shape[1:]
+    for d in datasets:
+        if (len(d), d.inputs.shape[1:], d.targets.shape[1:]) != (n, in_shape, out_shape):
+            raise ShapeMismatch(
+                f"stacked datasets differ: {len(d)} samples of {d.inputs.shape[1:]} -> "
+                f"{d.targets.shape[1:]} vs {n} of {in_shape} -> {out_shape}"
+            )
     if n == 0:
         raise EmptyDataset("no training samples")
-    rng = np.random.default_rng(config.seed)
-    params = init_params(
-        cell,
-        input_dim=dataset.inputs.shape[2],
-        hidden_dim=config.hidden_dim,
-        output_dim=dataset.targets.shape[1],
-        init_scale=config.init_scale,
-        rng=rng,
-    )
-    # Parameters, gradient and velocity each live in one flat buffer (the
-    # weights dict holds views into it, and backward writes into views of
-    # the gradient), so the momentum update is a few whole-buffer ufuncs
-    # instead of a few per tensor.
-    flat = np.concatenate([v.ravel() for v in params.weights.values()])
-    params.weights = _views(flat, params.weights)
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    inits = [
+        init_params(
+            cell,
+            input_dim=in_shape[-1],
+            hidden_dim=config.hidden_dim,
+            output_dim=out_shape[0],
+            init_scale=config.init_scale,
+            rng=rng,
+        ).weights
+        for rng in rngs
+    ]
+    # Parameters, gradient and velocity each live in one (M, P) buffer, a
+    # row per model (the weights dict holds views into it, and backward
+    # writes into views of the gradient), so the momentum update is a few
+    # whole-buffer ufuncs instead of a few per tensor.
+    flat = np.array([np.concatenate([v.ravel() for v in w.values()]) for w in inits])
+    stack = NetParams(cell, in_shape[-1], config.hidden_dim, out_shape[0], _views(flat, inits[0]))
     grad = np.empty_like(flat)
-    grads = _views(grad, params.weights)
+    grads = _views(grad, inits[0])
     velocity = np.zeros_like(flat)
-    losses: list[float] = []
+    losses: list[np.ndarray] = []
     for _ in range(config.epochs):
-        order = rng.permutation(n)
-        total = 0.0
+        orders = [rng.permutation(n) for rng in rngs]
+        total = np.zeros(len(rngs))
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            xb = dataset.inputs[idx]
-            tb = dataset.targets[idx]
-            yb, cache = forward_sequence(xb, params)
-            total += bce_loss(yb, tb) * idx.size
-            backward(cache, tb, params, out=grads)
+            idx = [order[start : start + config.batch_size] for order in orders]
+            xb = np.empty((len(idx), idx[0].size, *in_shape))
+            tb = np.empty((len(idx), idx[0].size, *out_shape))
+            for m, d in enumerate(datasets):
+                _take_rows(d.inputs, idx[m], xb[m])
+                _take_rows(d.targets, idx[m], tb[m])
+            yb, cache = forward_sequence(xb, stack)
+            total += bce_loss(yb, tb) * idx[0].size
+            backward(cache, tb, stack, out=grads)
             velocity *= config.momentum
             grad *= config.learning_rate
             velocity -= grad
             flat += velocity
         losses.append(total / n)
-    return TrainResult(params, tuple(losses))
+    return [
+        TrainResult(
+            NetParams(cell, stack.input_dim, stack.hidden_dim, stack.output_dim, _views(row, inits[0])),
+            tuple(float(epoch[m]) for epoch in losses),
+        )
+        for m, row in enumerate(flat)
+    ]
+
+
+def _take_rows(src: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = src[idx]``, written straight into ``out`` where numpy can.
+
+    ``np.take`` copies a strided source (GenreOnly's inputs are a view)
+    whole before it gathers, so that case goes through a temporary.
+    """
+    if src.flags.c_contiguous:
+        np.take(src, idx, axis=0, out=out, mode="clip")  # idx is in range; "raise" buffers out
+    else:
+        out[...] = src[idx]
 
 
 def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Views into ``flat``, one per name in ``like`` with its shape, packed in order."""
+    """Views into ``flat``, one per name in ``like`` with its shape, packed in order.
+
+    A 2-D ``flat`` is a stack: each view keeps its leading model axis.
+    """
     views: dict[str, np.ndarray] = {}
     offset = 0
     for name, v in like.items():
-        views[name] = flat[offset : offset + v.size].reshape(v.shape)
+        views[name] = flat[..., offset : offset + v.size].reshape(*flat.shape[:-1], *v.shape)
         offset += v.size
     return views
 

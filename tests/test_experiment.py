@@ -204,9 +204,9 @@ class TestRunExperiment:
         fitted = []
         fit_and_score = experiment._fit_and_score
 
-        def fit(samples, probs, cell, mode, seed, cluster, config):
+        def fit(samples, probs, cell, seeds, cluster, config):
             fitted.append(cluster)
-            return fit_and_score(samples, probs, cell, mode, seed, cluster, config)
+            return fit_and_score(samples, probs, cell, seeds, cluster, config)
 
         monkeypatch.setattr(experiment, "_fit_and_score", fit)
         report = run_experiment(small_config())
@@ -278,6 +278,40 @@ class TestRunExperiment:
         details = report.ac_metrics[("RNN", "Product")]
         assert sum(d.n_samples for d in details) <= 40
 
+    @pytest.mark.parametrize("max_users", [0, -3])
+    def test_max_users_below_one_rejected(self, max_users):
+        with pytest.raises(ValueError, match=rf"max_users \(--max-users\) must be >= 1, got {max_users}"):
+            run_experiment(small_config(max_users=max_users))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"modes": (FeatureMode.PRODUCT, FeatureMode.GENRE_ONLY, FeatureMode.PRODUCT)},
+            {"cells": (CellKind.GRU, CellKind.GRU)},
+        ],
+    )
+    def test_repeated_cell_or_mode_rejected(self, overrides):
+        # A repeat would write rows with the same (cell, mode, stage) key.
+        with pytest.raises(ValueError, match="repeat"):
+            run_experiment(small_config(**overrides))
+
+    @pytest.mark.parametrize("eta", [0.1, 0.9])
+    def test_stacked_modes_match_lone_mode_runs(self, eta):
+        # Sum, Product and GenreOnly train as one stack, Concat alone; each
+        # mode's rows equal those of a run of that mode by itself.  At eta
+        # 0.9 every mode retrains cluster 0, in one AT stack; at 0.1 only
+        # GenreOnly selects it.
+        modes = (FeatureMode.CONCAT, FeatureMode.SUM, FeatureMode.PRODUCT, FeatureMode.GENRE_ONLY)
+        stacked = run_experiment(small_config(modes=modes, eta=eta))
+        assert [(r.mode, r.stage) for r in stacked.rows] == [(m.value, s) for m in modes for s in STAGES]
+        for mode in modes:
+            alone = run_experiment(small_config(modes=(mode,), eta=eta))
+            tags = ("RNN", mode.value)
+            assert [r for r in stacked.rows if r.mode == mode.value] == list(alone.rows)
+            assert stacked.ac_metrics[tags] == alone.ac_metrics[tags]
+            assert stacked.at_metrics[tags] == alone.at_metrics[tags]
+            assert stacked.at_skipped[tags] == alone.at_skipped[tags]
+
     def test_funnel_counts_the_csv_input(self, tmp_path):
         movies, ratings = write_archetype_dataset(tmp_path / "data", users_per_archetype=10, seed=3)
         config = small_config(ratings_path=ratings, movies_path=movies, synthetic=None, max_users=50)
@@ -309,7 +343,8 @@ class TestRunExperiment:
 
 
 class TestStageProtocol:
-    """Which seed and how many training users each fit gets, on any build."""
+    """Which seed and how many training users each model gets, and which models
+    share a stacked fit, on any build."""
 
     def test_split_and_fit_seeds_and_train_sizes(self, monkeypatch):
         splits, fits, models = [], [], []
@@ -319,9 +354,9 @@ class TestStageProtocol:
             splits.append((seed, len(users)))
             return split_users_(users, fraction, seed)
 
-        def fit(dataset, cell, config):
-            fits.append((config.seed, len(dataset)))
-            return train_(dataset, cell, config)
+        def fit(datasets, cell, configs):
+            fits.append([(config.seed, len(dataset)) for dataset, config in zip(datasets, configs)])
+            return train_(datasets, cell, configs)
 
         def cluster(*args, **kwargs):
             models.append(kmeans_(*args, **kwargs))
@@ -330,7 +365,10 @@ class TestStageProtocol:
         monkeypatch.setattr(experiment, "split_users", split)
         monkeypatch.setattr(experiment, "train", fit)
         monkeypatch.setattr(experiment, "kmeans", cluster)
-        config = small_config(modes=(FeatureMode.PRODUCT, FeatureMode.GENRE_ONLY))
+        modes = (FeatureMode.PRODUCT, FeatureMode.CONCAT, FeatureMode.GENRE_ONLY)
+        # At eta 0.1 GenreOnly selects a cluster for trimming that Product
+        # does not, so that cluster's AT stack holds GenreOnly alone.
+        config = small_config(modes=modes, eta=0.1)
         report = run_experiment(config)
 
         s = config.seed
@@ -346,26 +384,42 @@ class TestStageProtocol:
         assert report.untested
         clusters = [c for c in clusters if c not in report.untested]
 
-        at_fits = 0
-        for tags in (("RNN", "Product"), ("RNN", "GenreOnly")):
+        at_fits = partial = 0
+        # The modes of one input width (d = 19, then Concat's d = 38) train
+        # as one stack: one train call per group, a model per mode.
+        for stack in (("RNN", "Product"), ("RNN", "GenreOnly")), (("RNN", "Concat"),):
             # BC on every user, then AC on each cluster.
-            expected = [(derive_seed(s, "train-bc", *tags), n_train(n_users))]
-            expected += [(derive_seed(s, "train-ac", c, *tags), n_train(sizes[c])) for c in clusters]
+            expected = [[(derive_seed(s, "train-bc", *tags), n_train(n_users)) for tags in stack]]
+            expected += [
+                [(derive_seed(s, "train-ac", c, *tags), n_train(sizes[c])) for tags in stack]
+                for c in clusters
+            ]
             assert fits[: len(expected)] == expected
             del fits[: len(expected)]
-            # AT retrains trimmed clusters in order, with the cluster's AC seed,
-            # on its training users less the samples trimming dropped.
-            ac_seed = {derive_seed(s, "train-ac", c, *tags): c for c in clusters}
-            selected = {m.cluster for m in report.ac_metrics[tags] if m.p_min < config.eta}
+            # AT retrains trimmed clusters in order, one call per cluster for
+            # the stack's modes that selected it, each model with its AC seed,
+            # on the cluster's training users less the samples trimming dropped.
+            ac_seed = {derive_seed(s, "train-ac", c, *tags): (c, tags) for c in clusters for tags in stack}
+            selected = {
+                tags: {m.cluster for m in report.ac_metrics[tags] if m.p_min < config.eta} for tags in stack
+            }
+            partial += len({frozenset(selected[tags]) for tags in stack}) > 1
             at = []
-            while fits and fits[0][0] in ac_seed:
-                seed, size = fits.pop(0)
-                at.append(ac_seed[seed])
-                assert 0 < size <= n_train(sizes[ac_seed[seed]])
-            assert at == sorted(set(at)) and set(at) <= selected
-            at_fits += len(at)
+            while fits and fits[0][0][0] in ac_seed:
+                call = fits.pop(0)
+                (c,) = {ac_seed[seed][0] for seed, _ in call}
+                (size,) = {size for _, size in call}
+                assert 0 < size <= n_train(sizes[c])
+                assert [ac_seed[seed][1] for seed, _ in call] == [t for t in stack if c in selected[t]]
+                at.append(c)
+            assert at == sorted(set(at))
+            for tags in stack:
+                retrained = {c for c in selected[tags] if c not in report.at_skipped[tags]}
+                assert retrained == {c for c in at if c in selected[tags]}
+                at_fits += len(retrained)
         assert fits == []
         assert at_fits > 0
+        assert partial
 
 
 class TestCli:
@@ -401,6 +455,22 @@ class TestCli:
         clusters = {line.split(",")[3] for line in text.strip().splitlines()[1:]}
         # k=3 from the flag wins over k=5 in the file
         assert clusters <= {"all", "mean", "0", "1", "2"}
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mode", "Product", "--mode", "Product"], "modes repeat: Product, Product"),
+            (["--cell", "RNN", "--cell", "LSTM", "--cell", "RNN"], "cells repeat: RNN, LSTM, RNN"),
+            (["--epochs", "0"], "must be positive"),
+            (["--max-users", "0"], "--max-users"),
+            (["--max-users", "-3"], "--max-users"),
+        ],
+    )
+    def test_invalid_run_is_diagnosed(self, tmp_path, capsys, flags, message):
+        code = main(["--synthetic", "90", "--k", "3", "--epochs", "1", "--out", str(tmp_path), *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

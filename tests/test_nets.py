@@ -1,6 +1,7 @@
 import hashlib
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -338,6 +339,12 @@ class TestBackward:
             assert np.allclose(batch_grads[key], summed[key] / 4.0)
 
 
+def train_one(dataset, cell, config):
+    """A lone fit: a stack of one model."""
+    (result,) = train([dataset], cell, [config])
+    return result
+
+
 def constant_dataset(n=10, seed=53):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 1, (4, D))
@@ -371,15 +378,15 @@ class TestTrain:
         ds = constant_dataset()
         cfg = TrainConfig(learning_rate=0.05, epochs=500, batch_size=10, hidden_dim=8, seed=1)
         for cell in CellKind:
-            result = train(ds, cell, cfg)
+            result = train_one(ds, cell, cfg)
             assert result.losses[-1] < 0.05
             assert result.losses[-1] < result.losses[0]
 
     def test_same_seed_same_trace(self):
         ds = constant_dataset()
         cfg = TrainConfig(epochs=25, hidden_dim=8, seed=9)
-        a = train(ds, CellKind.RNN, cfg)
-        b = train(ds, CellKind.RNN, cfg)
+        a = train_one(ds, CellKind.RNN, cfg)
+        b = train_one(ds, CellKind.RNN, cfg)
         assert a.losses == b.losses
         for key in a.params.weights:
             assert np.array_equal(a.params.weights[key], b.params.weights[key])
@@ -387,7 +394,7 @@ class TestTrain:
     def test_zero_learning_rate_keeps_parameters(self):
         ds = constant_dataset()
         cfg = TrainConfig(learning_rate=0.0, epochs=5, hidden_dim=8, seed=2)
-        result = train(ds, CellKind.LSTM, cfg)
+        result = train_one(ds, CellKind.LSTM, cfg)
         fresh = init_params(CellKind.LSTM, D, 8, init_scale=cfg.init_scale, seed=cfg.seed)
         for key in result.params.weights:
             assert np.array_equal(result.params.weights[key], fresh.weights[key])
@@ -395,7 +402,7 @@ class TestTrain:
     def test_empty_dataset(self):
         ds = Dataset(np.zeros((0, 4, D)), np.zeros((0, 19)))
         with pytest.raises(EmptyDataset):
-            train(ds, CellKind.RNN, TrainConfig(epochs=1))
+            train_one(ds, CellKind.RNN, TrainConfig(epochs=1))
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
@@ -404,6 +411,8 @@ class TestTrain:
             TrainConfig(momentum=1.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(init_scale=0.0)
 
@@ -465,17 +474,58 @@ class TestTrainExactness:
     @requires_pinned_build
     @pytest.mark.parametrize("cell", list(CellKind))
     def test_pinned_weights(self, cell):
-        result = train(small_dataset(), cell, PINNED_CONFIG)
+        result = train_one(small_dataset(), cell, PINNED_CONFIG)
         assert weights_sha256(result.params) == PINNED_WEIGHTS[cell]
 
     @pytest.mark.parametrize("cell", list(CellKind))
     def test_matches_per_tensor_loop(self, cell):
         # 45 samples at batch 8 leave a ragged final batch of 5.
-        result = train(small_dataset(), cell, PINNED_CONFIG)
+        result = train_one(small_dataset(), cell, PINNED_CONFIG)
         ref_params, ref_losses = per_tensor_train(small_dataset(), cell, PINNED_CONFIG)
         for key, ref in ref_params.weights.items():
             assert np.array_equal(result.params.weights[key], ref)
         assert result.losses == tuple(ref_losses)
+
+    @pytest.mark.parametrize("cell", list(CellKind))
+    @pytest.mark.parametrize("models", [2, 3])
+    def test_stack_matches_lone_fits(self, cell, models):
+        # Each model has its own data, seed and batch order; 45 samples at
+        # batch 8 leave every model a ragged final batch of 5.  The last
+        # model's inputs are a strided view, as GenreOnly's are.
+        datasets = [small_dataset(seed=7 + m) for m in range(models)]
+        wide = np.concatenate([datasets[-1].inputs, np.ones((45, 4, 3))], axis=2)
+        datasets[-1] = Dataset(wide[:, :, :D], datasets[-1].targets)
+        configs = [replace(PINNED_CONFIG, seed=11 + m) for m in range(models)]
+        results = train(datasets, cell, configs)
+        assert len(results) == models
+        for dataset, config, result in zip(datasets, configs, results):
+            lone = train_one(dataset, cell, config)
+            ref_params, ref_losses = per_tensor_train(dataset, cell, config)
+            for key, ref in ref_params.weights.items():
+                assert np.array_equal(result.params.weights[key].view(np.uint64), ref.view(np.uint64))
+                assert np.array_equal(lone.params.weights[key].view(np.uint64), ref.view(np.uint64))
+            assert result.losses == lone.losses == tuple(ref_losses)
+
+    @requires_pinned_build
+    @pytest.mark.parametrize("cell", list(CellKind))
+    def test_pinned_weights_in_a_stack(self, cell):
+        datasets = [small_dataset(), small_dataset(seed=8)]
+        results = train(datasets, cell, [PINNED_CONFIG, replace(PINNED_CONFIG, seed=12)])
+        assert weights_sha256(results[0].params) == PINNED_WEIGHTS[cell]
+
+    def test_stack_mismatch_raises(self):
+        ds = small_dataset()
+        with pytest.raises(ShapeMismatch, match="stacked datasets differ"):
+            train([ds, small_dataset(n=44)], CellKind.RNN, [PINNED_CONFIG] * 2)
+        wide = Dataset(np.concatenate([ds.inputs, ds.inputs], axis=2), ds.targets)
+        with pytest.raises(ShapeMismatch, match="stacked datasets differ"):
+            train([ds, wide], CellKind.RNN, [PINNED_CONFIG] * 2)
+        with pytest.raises(ValueError, match="only in their seeds"):
+            train([ds, ds], CellKind.RNN, [PINNED_CONFIG, replace(PINNED_CONFIG, epochs=5)])
+        with pytest.raises(ValueError, match="2 datasets for 1 configs"):
+            train([ds, ds], CellKind.RNN, [PINNED_CONFIG])
+        with pytest.raises(ValueError, match="0 datasets"):
+            train([], CellKind.RNN, [])
 
 
 class TestCheckpoint:
@@ -485,7 +535,7 @@ class TestCheckpoint:
         for cell in CellKind:
             for tag, params in (
                 ("fresh", random_params(cell, seed=54)),
-                ("trained", train(small_dataset(), cell, cfg).params),
+                ("trained", train_one(small_dataset(), cell, cfg).params),
             ):
                 path = save_checkpoint(params, tmp_path / f"{tag}_{cell.value.lower()}.npz")
                 loaded = load_checkpoint(path)
