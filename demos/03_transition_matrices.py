@@ -14,10 +14,11 @@ from genreseq import (
     FeatureMode,
     GENRES,
     atv,
-    build_dataset,
     combine,
     count_transitions,
     encode_genres,
+    featurize,
+    genre_samples,
     genre_index,
     normalize_transitions,
     generate_synthetic,
@@ -50,5 +51,5 @@ for mode in FeatureMode:
     print(f"  {mode.value:<10} length {len(merged):>2}  first five: "
           + ", ".join(f"{v:.2f}" for v in merged[:5]))
 
-dataset = build_dataset(users[:500], probs, FeatureMode.PRODUCT)
+dataset = featurize(genre_samples(users[:500]), probs, FeatureMode.PRODUCT)
 print(f"\ntraining dataset from 500 users: inputs {dataset.inputs.shape}, targets {dataset.targets.shape}")

@@ -21,7 +21,6 @@ from genreseq import (
     init_params,
     load_checkpoint,
     predict,
-    rnn_step,
     save_checkpoint,
     train,
 )
@@ -29,9 +28,11 @@ from genreseq import (
 rng = np.random.default_rng(3)
 
 # --- single steps --------------------------------------------------------
+# One step is a 1-step sequence; cache["h"][t] holds h_t for each sample.
 params = init_params(CellKind.RNN, input_dim=19, hidden_dim=6, init_scale=0.3, seed=0)
 x_t = rng.uniform(0, 1, 19)
-h = rnn_step(x_t, np.zeros(6), params)
+_, cache = forward_sequence(x_t[None], params)
+h = cache["h"][1][0]
 print("one RNN step from zero state:", np.round(h, 3).tolist())
 
 # --- full forward + loss ---------------------------------------------------

@@ -121,7 +121,7 @@ def _merge_settings(args: argparse.Namespace) -> dict:
 def build_config(settings: dict) -> ExperimentConfig:
     seed = int(settings["seed"])
     synthetic = None
-    if settings["synthetic_users"]:
+    if settings["synthetic_users"] is not None:
         synthetic = SyntheticSpec(
             n_users=int(settings["synthetic_users"]),
             planted_matrix=_default_planted(derive_seed(seed, "planted")),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +62,6 @@ STAGES = (
     "AT-mean",
 )
 
-REPORT_HEADER = "cell,mode,stage,cluster,recall,precision,accuracy,f1"
-
 
 @dataclass
 class ExperimentConfig:
@@ -101,6 +99,12 @@ class ReportRow:
     precision: float
     accuracy: float
     f1: float
+
+
+# The report columns in file order, each flagged when it is a metric:
+# labels are written as they are, metrics at 4 decimals.
+_COLUMNS = tuple((f.name, f.type in (float, "float")) for f in fields(ReportRow))
+REPORT_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -169,12 +173,25 @@ def _load_users(config: ExperimentConfig) -> tuple[Users, dict[str, int]]:
     }
 
 
+def _check_config(config: ExperimentConfig) -> None:
+    """Reject a bad config value before any data is read or any model fit."""
+    for name, values in (("cells", config.cells), ("modes", config.modes)):
+        if not values:
+            raise ValueError(f"no {name} given")
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} repeat: {', '.join(v.value for v in values)}")
+    for name, flag in (("eta", "eta"), ("theta", "theta"), ("split_fraction", "split")):
+        value = getattr(config, name)
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"{name} (--{flag}) must be in (0, 1), got {value}")
+    for name, flag in (("k", "k"), ("max_users", "max-users")):
+        value = getattr(config, name)
+        if value is not None and value < 1:
+            raise ValueError(f"{name} (--{flag}) must be >= 1, got {value}")
+
+
 def _subsample(users: Users, config: ExperimentConfig) -> Users:
-    if config.max_users is None:
-        return users
-    if config.max_users < 1:
-        raise ValueError(f"max_users (--max-users) must be >= 1, got {config.max_users}")
-    if len(users) <= config.max_users:
+    if config.max_users is None or len(users) <= config.max_users:
         return users
     rng = np.random.default_rng(derive_seed(config.seed, "sample"))
     idx = rng.choice(len(users), size=config.max_users, replace=False)
@@ -228,9 +245,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     ``movies_skipped_no_genre`` and ``users_dropped`` (fewer than five
     rated movies with genres).
     """
-    for name, values in (("cells", config.cells), ("modes", config.modes)):
-        if len(set(values)) < len(values):
-            raise ValueError(f"{name} repeat: {', '.join(v.value for v in values)}")
+    _check_config(config)
     users, funnel = _load_users(config)
     users = _subsample(users, config)
     funnel["users_after_max_users"] = len(users)
@@ -341,10 +356,8 @@ def _atomic_write(path: Path, text: str) -> None:
 def report_csv_text(report: EvalReport) -> str:
     lines = [REPORT_HEADER]
     for r in report.rows:
-        lines.append(
-            f"{r.cell},{r.mode},{r.stage},{r.cluster},"
-            f"{r.recall:.4f},{r.precision:.4f},{r.accuracy:.4f},{r.f1:.4f}"
-        )
+        values = ((getattr(r, n), metric) for n, metric in _COLUMNS)
+        lines.append(",".join(f"{v:.4f}" if metric else v for v, metric in values))
     return "\n".join(lines) + "\n"
 
 
@@ -363,16 +376,7 @@ def emit_report(
     written.append(csv_path)
 
     records = [
-        {
-            "cell": r.cell,
-            "mode": r.mode,
-            "stage": r.stage,
-            "cluster": r.cluster,
-            "recall": round(r.recall, 4),
-            "precision": round(r.precision, 4),
-            "accuracy": round(r.accuracy, 4),
-            "f1": round(r.f1, 4),
-        }
+        {n: round(getattr(r, n), 4) if metric else getattr(r, n) for n, metric in _COLUMNS}
         for r in report.rows
     ]
     json_path = out / "report.json"
@@ -395,8 +399,6 @@ def read_report_csv(path: str | Path) -> tuple[ReportRow, ...]:
         raise ValueError("not a report.csv file")
     rows = []
     for line in lines[1:]:
-        cell, mode, stage, cluster, rec, prec, acc, f1 = line.split(",")
-        rows.append(
-            ReportRow(cell, mode, stage, cluster, float(rec), float(prec), float(acc), float(f1))
-        )
+        values = zip(_COLUMNS, line.split(","), strict=True)
+        rows.append(ReportRow(*(float(v) if metric else v for (_, metric), v in values)))
     return tuple(rows)

@@ -60,14 +60,9 @@ def encode_genres(names: Iterable[str]) -> np.ndarray:
     return vec
 
 
-def support(vec: np.ndarray) -> np.ndarray:
-    """Indices of the nonzero entries of a genre vector."""
-    return np.flatnonzero(vec)
-
-
 def support_names(vec: np.ndarray) -> tuple[str, ...]:
     """Genre names at the nonzero entries, in alphabet order."""
-    return tuple(GENRES[i] for i in support(vec))
+    return tuple(GENRES[i] for i in np.flatnonzero(vec))
 
 
 def is_row_stochastic(mat: np.ndarray, tol: float = 1e-9) -> bool:

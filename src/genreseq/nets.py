@@ -25,6 +25,11 @@ Update rules:
 ``*`` is the element-wise product and ``[a, b]`` concatenation with the
 hidden part first.
 
+:func:`forward_sequence` and :func:`backward` are the cell API: one step
+is a 1-step sequence.  The per-cell kernels (``_rnn_cell``, ``_lstm_cell``,
+``_gru_cell``) are private to ``forward_sequence``, so they may be fused
+or restructured as long as the sequence results and gradients hold.
+
 Every sequence starts from h_0 = 0 and no gradient flows back past
 t = 0, so some t = 0 work is skipped as dead: the RNN's ``W h_0`` GEMM
 and its add in the forward pass; in the backward pass the gradient
@@ -170,16 +175,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ShapeMismatch(f"{what}: got shape {x.shape}, expected (*, {dim})")
-    return x, single
-
-
 def _rnn_cell(x_t: np.ndarray, state: tuple, w: dict, out=None) -> tuple[tuple, tuple]:
     """RNN update on (..., B, d) / (..., B, h) arrays: new ``(h,)`` and no extra activations.
 
@@ -218,34 +213,6 @@ def _gru_cell(x_t: np.ndarray, state: tuple, w: dict, out=None) -> tuple[tuple, 
 
 
 _CELLS = {CellKind.RNN: _rnn_cell, CellKind.LSTM: _lstm_cell, CellKind.GRU: _gru_cell}
-
-
-def rnn_step(x_t: np.ndarray, h_prev: np.ndarray, params: NetParams) -> np.ndarray:
-    """h_t = tanh(U x_t + W h_prev + b); entries stay inside (-1, 1)."""
-    x_t, single = _as_batch(x_t, params.input_dim, "x_t")
-    h_prev, _ = _as_batch(h_prev, params.hidden_dim, "h_prev")
-    (h,), _ = _rnn_cell(x_t, (h_prev,), params.weights)
-    return h[0] if single else h
-
-
-def lstm_step(
-    x_t: np.ndarray, state: tuple[np.ndarray, np.ndarray], params: NetParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """One gated update of (hidden, cell) state."""
-    h_prev, c_prev = state
-    x_t, single = _as_batch(x_t, params.input_dim, "x_t")
-    h_prev, _ = _as_batch(h_prev, params.hidden_dim, "h_prev")
-    c_prev, _ = _as_batch(c_prev, params.hidden_dim, "c_prev")
-    (h, c), _ = _lstm_cell(x_t, (h_prev, c_prev), params.weights)
-    return (h[0], c[0]) if single else (h, c)
-
-
-def gru_step(x_t: np.ndarray, h_prev: np.ndarray, params: NetParams) -> np.ndarray:
-    """Update/reset-gated step; h_t interpolates h_prev and the candidate."""
-    x_t, single = _as_batch(x_t, params.input_dim, "x_t")
-    h_prev, _ = _as_batch(h_prev, params.hidden_dim, "h_prev")
-    (h,), _ = _gru_cell(x_t, (h_prev,), params.weights)
-    return h[0] if single else h
 
 
 def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray, dict]:

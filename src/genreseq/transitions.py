@@ -150,11 +150,6 @@ def featurize(samples: Dataset, probs: np.ndarray, mode: FeatureMode) -> Dataset
     return Dataset(inputs, samples.targets)
 
 
-def build_dataset(users: Users, probs: np.ndarray, mode: FeatureMode) -> Dataset:
-    """Featurized dataset for a group of users (one sample per user)."""
-    return featurize(genre_samples(users), probs, mode)
-
-
 def write_probability_csv(probs: np.ndarray, path: str | Path) -> None:
     """Dump a transition matrix as CSV with a genre-name header row."""
     lines = [",".join(GENRES)]

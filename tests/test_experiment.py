@@ -110,6 +110,19 @@ class TestEmitReport:
             }
         ]
 
+    def test_json_matches_csv_at_written_precision(self, tmp_path):
+        # Unrounded metrics: report.json holds each CSV row's values, at
+        # the CSV's four decimals, under the CSV header's names in order.
+        rng = np.random.default_rng(72)
+        rows = [ReportRow("LSTM", "Sum", stage, "mean", *rng.uniform(0, 1, 4)) for stage in STAGES]
+        emit_report(report_of(rows), tmp_path)
+        records = json.loads((tmp_path / "report.json").read_text())
+        header = (tmp_path / "report.csv").read_text().splitlines()[0].split(",")
+        assert [list(r) for r in records] == [header] * len(rows)
+        parsed = read_report_csv(tmp_path / "report.csv")
+        assert records == [vars(r) for r in parsed]
+        assert records[0]["recall"] != rows[0].recall
+
     def test_round_trip_parse(self, tmp_path):
         rng = np.random.default_rng(71)
         rows = [
@@ -282,6 +295,36 @@ class TestRunExperiment:
     def test_max_users_below_one_rejected(self, max_users):
         with pytest.raises(ValueError, match=rf"max_users \(--max-users\) must be >= 1, got {max_users}"):
             run_experiment(small_config(max_users=max_users))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"eta": 1.5}, r"eta \(--eta\) must be in \(0, 1\), got 1.5"),
+            ({"eta": 0.0}, r"eta \(--eta\) must be in \(0, 1\), got 0.0"),
+            ({"theta": 1.5, "eta": 0.01}, r"theta \(--theta\) must be in \(0, 1\), got 1.5"),
+            ({"theta": 0.0}, r"theta \(--theta\) must be in \(0, 1\), got 0.0"),
+            ({"split_fraction": 1.0}, r"split_fraction \(--split\) must be in \(0, 1\), got 1.0"),
+            ({"k": 0}, r"k \(--k\) must be >= 1, got 0"),
+            ({"k": -2}, r"k \(--k\) must be >= 1, got -2"),
+            ({"max_users": 0}, r"max_users \(--max-users\) must be >= 1, got 0"),
+            ({"cells": ()}, "no cells given"),
+            ({"modes": ()}, "no modes given"),
+        ],
+        ids=[
+            "eta-1.5", "eta-0", "theta-1.5", "theta-0", "split-1",
+            "k-0", "k-neg", "max_users-0", "no-cells", "no-modes",
+        ],
+    )
+    def test_bad_value_rejected_before_ingest(self, monkeypatch, overrides, message):
+        # Each value is checked up front: no user is generated and no
+        # model is fit before the error.
+        def fail(*args, **kwargs):
+            pytest.fail("a bad config value reached ingest or training")
+
+        monkeypatch.setattr(experiment, "generate_synthetic", fail)
+        monkeypatch.setattr(experiment, "train", fail)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(small_config(**overrides))
 
     @pytest.mark.parametrize(
         "overrides",
@@ -464,6 +507,11 @@ class TestCli:
             (["--epochs", "0"], "must be positive"),
             (["--max-users", "0"], "--max-users"),
             (["--max-users", "-3"], "--max-users"),
+            (["--eta", "1.5"], "eta (--eta) must be in (0, 1), got 1.5"),
+            (["--theta", "1.5", "--eta", "0.01"], "theta (--theta) must be in (0, 1), got 1.5"),
+            (["--split", "1"], "split_fraction (--split) must be in (0, 1), got 1.0"),
+            (["--k", "0"], "k (--k) must be >= 1, got 0"),
+            (["--synthetic", "0"], "n_users must be >= 1"),
         ],
     )
     def test_invalid_run_is_diagnosed(self, tmp_path, capsys, flags, message):

@@ -8,6 +8,7 @@ import pytest
 
 from genreseq.errors import EmptyDataset, ShapeMismatch
 from genreseq.nets import (
+    _CELLS,
     CellKind,
     NetParams,
     TrainConfig,
@@ -16,13 +17,10 @@ from genreseq.nets import (
     backward,
     bce_loss,
     forward_sequence,
-    gru_step,
     init_params,
     load_checkpoint,
-    lstm_step,
     parameter_shapes,
     predict,
-    rnn_step,
     save_checkpoint,
     train,
 )
@@ -51,16 +49,22 @@ def random_params(cell, seed, scale=0.5):
     return init_params(cell, D, H, init_scale=scale, seed=seed)
 
 
+def step(cell, x, state, params):
+    """The new state after one step of the cell's private kernel."""
+    new_state, _ = _CELLS[cell](x, state, params.weights)
+    return new_state
+
+
 class TestRnnStep:
     def test_zero_everything(self):
         params = zero_params(CellKind.RNN)
-        h = rnn_step(np.ones(D), np.zeros(H), params)
+        (h,) = step(CellKind.RNN, np.ones(D), (np.zeros(H),), params)
         assert np.array_equal(h, np.zeros(H))
 
     def test_large_bias_saturates(self):
         params = zero_params(CellKind.RNN)
         params.weights["b"][:] = 25.0
-        h = rnn_step(np.zeros(D), np.zeros(H), params)
+        (h,) = step(CellKind.RNN, np.zeros(D), (np.zeros(H),), params)
         assert np.all(h > 0.999999)
 
     def test_matches_scalar_oracle(self):
@@ -72,12 +76,8 @@ class TestRnnStep:
             expected = rnn_step_oracle(
                 x, h_prev, params.weights["U"], params.weights["W"], params.weights["b"]
             )
-            assert np.allclose(rnn_step(x, h_prev, params), expected)
-
-    def test_shape_mismatch(self):
-        params = zero_params(CellKind.RNN)
-        with pytest.raises(ShapeMismatch):
-            rnn_step(np.zeros(D + 1), np.zeros(H), params)
+            (h,) = step(CellKind.RNN, x, (h_prev,), params)
+            assert np.allclose(h, expected)
 
 
 class TestLstmStep:
@@ -85,13 +85,13 @@ class TestLstmStep:
         # All gates sit at 0.5 and the candidate at 0, so with c_prev = 1
         # the new cell is 0.5 and h = 0.5 * tanh(0.5).
         params = zero_params(CellKind.LSTM)
-        h, c = lstm_step(np.ones(D), (np.zeros(H), np.ones(H)), params)
+        h, c = step(CellKind.LSTM, np.ones(D), (np.zeros(H), np.ones(H)), params)
         assert np.allclose(c, 0.5)
         assert np.allclose(h, 0.5 * math.tanh(0.5))
 
     def test_zero_cell_stays_zero(self):
         params = zero_params(CellKind.LSTM)
-        h, c = lstm_step(np.ones(D), (np.zeros(H), np.zeros(H)), params)
+        h, c = step(CellKind.LSTM, np.ones(D), (np.zeros(H), np.zeros(H)), params)
         assert np.array_equal(c, np.zeros(H))
         assert np.array_equal(h, np.zeros(H))
 
@@ -103,7 +103,7 @@ class TestLstmStep:
             h_prev = rng.uniform(-1, 1, H)
             c_prev = rng.uniform(-1, 1, H)
             expected_h, expected_c = lstm_step_oracle(x, h_prev, c_prev, params.weights)
-            h, c = lstm_step(x, (h_prev, c_prev), params)
+            h, c = step(CellKind.LSTM, x, (h_prev, c_prev), params)
             assert np.allclose(h, expected_h)
             assert np.allclose(c, expected_c)
 
@@ -112,12 +112,13 @@ class TestGruStep:
     def test_zero_weights_halve_state(self):
         params = zero_params(CellKind.GRU)
         h_prev = np.linspace(-1, 1, H)
-        h = gru_step(np.ones(D), h_prev, params)
+        (h,) = step(CellKind.GRU, np.ones(D), (h_prev,), params)
         assert np.allclose(h, 0.5 * h_prev)
 
     def test_zero_state_stays_zero(self):
         params = zero_params(CellKind.GRU)
-        assert np.array_equal(gru_step(np.ones(D), np.zeros(H), params), np.zeros(H))
+        (h,) = step(CellKind.GRU, np.ones(D), (np.zeros(H),), params)
+        assert np.array_equal(h, np.zeros(H))
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(43)
@@ -126,7 +127,8 @@ class TestGruStep:
             x = rng.uniform(-1, 1, D)
             h_prev = rng.uniform(-1, 1, H)
             expected = gru_step_oracle(x, h_prev, params.weights)
-            assert np.allclose(gru_step(x, h_prev, params), expected)
+            (h,) = step(CellKind.GRU, x, (h_prev,), params)
+            assert np.allclose(h, expected)
 
     def test_interpolates_between_state_and_candidate(self):
         rng = np.random.default_rng(44)
@@ -138,7 +140,7 @@ class TestGruStep:
             zcat = np.concatenate([h_prev, x])
             r = 1.0 / (1.0 + np.exp(-w["W_r"] @ zcat))
             hbar = np.tanh(w["W"] @ np.concatenate([r * h_prev, x]))
-            h = gru_step(x, h_prev, params)
+            (h,) = step(CellKind.GRU, x, (h_prev,), params)
             lo = np.minimum(h_prev, hbar) - 1e-12
             hi = np.maximum(h_prev, hbar) + 1e-12
             assert np.all(h >= lo) and np.all(h <= hi)
@@ -197,26 +199,24 @@ class TestForwardSequence:
     @pytest.mark.parametrize("cell", list(CellKind))
     @pytest.mark.parametrize("shape", [(5, 4, D), (4, D)])
     def test_hidden_states_equal_chained_steps(self, cell, shape):
-        # forward_sequence and the public *_step functions share one
-        # kernel per cell, so their hidden states agree bit for bit.
+        # Every cached h_t equals the scalar oracle chained from h_0 = 0
+        # over each sample's steps; the oracles share no code with nets.
         params = random_params(cell, seed=49, scale=1.0)
+        w = params.weights
         x = np.random.default_rng(49).uniform(0, 1, shape)
         _, cache = forward_sequence(x, params)
-        h = np.zeros(shape[:-2] + (H,))
-        c = np.zeros_like(h)
-        chained = [h]
-        for t in range(shape[-2]):
-            x_t = x[..., t, :]
-            if cell is CellKind.RNN:
-                h = rnn_step(x_t, h, params)
-            elif cell is CellKind.LSTM:
-                h, c = lstm_step(x_t, (h, c), params)
-            else:
-                h = gru_step(x_t, h, params)
-            chained.append(h)
-        assert len(cache["h"]) == len(chained)
-        for got, want in zip(cache["h"], chained):
-            assert np.array_equal(got.reshape(want.shape), want)
+        assert len(cache["h"]) == shape[-2] + 1
+        assert not cache["h"][0].any()
+        for i, sample in enumerate(x.reshape(-1, *shape[-2:])):
+            h = c = np.zeros(H)
+            for t, x_t in enumerate(sample):
+                if cell is CellKind.RNN:
+                    h = rnn_step_oracle(x_t, h, w["U"], w["W"], w["b"])
+                elif cell is CellKind.LSTM:
+                    h, c = lstm_step_oracle(x_t, h, c, w)
+                else:
+                    h = gru_step_oracle(x_t, h, w)
+                assert np.allclose(cache["h"][t + 1].reshape(-1, H)[i], h)
 
 
 def two_branch_sigmoid(x):

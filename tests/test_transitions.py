@@ -10,7 +10,6 @@ from genreseq.transitions import (
     FeatureMode,
     TransitionModel,
     atv,
-    build_dataset,
     combine,
     count_transitions,
     featurize,
@@ -163,7 +162,7 @@ class TestBuildDataset:
     def test_genre_only_inputs_are_genre_vectors(self):
         seqs = self.sequences()
         probs = np.full((19, 19), 1.0 / 19)
-        ds = build_dataset(seqs, probs, FeatureMode.GENRE_ONLY)
+        ds = featurize(genre_samples(seqs), probs, FeatureMode.GENRE_ONLY)
         for i, window in enumerate(seqs.genres):
             assert np.array_equal(ds.inputs[i], window[:4])
             assert np.array_equal(ds.targets[i], window[4])
@@ -172,7 +171,7 @@ class TestBuildDataset:
         seqs = self.sequences(9)
         probs = np.full((19, 19), 1.0 / 19)
         for mode in FeatureMode:
-            ds = build_dataset(seqs, probs, mode)
+            ds = featurize(genre_samples(seqs), probs, mode)
             assert len(ds) == 9
             assert ds.inputs.shape == (9, 4, feature_dim(mode))
 
@@ -180,7 +179,7 @@ class TestBuildDataset:
         seq = make_sequence([["War"]] * 5)
         probs = np.eye(19)
         for mode in FeatureMode:
-            ds = build_dataset(seq, probs, mode)
+            ds = featurize(genre_samples(seq), probs, mode)
             for t in range(1, 4):
                 assert np.array_equal(ds.inputs[0, t], ds.inputs[0, 0])
 
