@@ -25,6 +25,19 @@ Update rules:
 ``*`` is the element-wise product and ``[a, b]`` concatenation with the
 hidden part first.
 
+The gated cells compute a step's gates as one block.  The LSTM's four
+gate GEMMs write into one (..., 4, B, h) array in the order f, i, o, g,
+which takes one bias add (from a bias block built once per call), one
+sigmoid over f, i, o and one tanh over g; the GRU's z and r are one
+(..., 2, B, h) block with one sigmoid.  Each GEMM keeps the operands and
+shape of its own gate, and each element the same expression, so the
+blocks move no bit.  ``forward_sequence`` gives the gated cells one
+``[h, x]`` buffer ``zs`` of (T + 1, ..., B, h + d), with every input step
+copied in once: the step over ``xs[t]`` reads ``zs[t]`` as its
+``[h_prev, x]`` and writes its new h straight into ``zs[t + 1, ..., :h]``,
+so no step concatenates, and the cached hidden states are the view
+``zs[..., :h]``.
+
 :func:`forward_sequence` and :func:`backward` are the cell API: one step
 is a 1-step sequence.  The per-cell kernels (``_rnn_cell``, ``_lstm_cell``,
 ``_gru_cell``) are private to ``forward_sequence``, so they may be fused
@@ -166,53 +179,83 @@ def init_params(
     return NetParams(cell, input_dim, hidden_dim, output_dim, weights)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below; exp never overflows."""
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below; exp never overflows.
+
+    Writes into ``out`` when given, which may be ``x`` itself.  The
+    numerator max(e, [x >= 0]) is 1 where x >= 0 (e <= 1 there) and e
+    below (e >= 0).
+    """
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
+    out = np.maximum(e, x >= 0, out=out)
     e += 1.0
     out /= e
     return out
 
 
-def _rnn_cell(x_t: np.ndarray, state: tuple, w: dict, out=None) -> tuple[tuple, tuple]:
-    """RNN update on (..., B, d) / (..., B, h) arrays: new ``(h,)`` and no extra activations.
+def _rnn_cell(x_t: np.ndarray, h_prev: np.ndarray | None, w: dict, out: np.ndarray) -> None:
+    """RNN update on (..., B, d) / (..., B, h) arrays: h_t into ``out``.
 
     ``h_prev`` None is the zero initial state, so its ``W`` GEMM is skipped.
     """
-    (h_prev,) = state
     a = x_t @ w["U"].swapaxes(-1, -2)
     if h_prev is not None:
         a += h_prev @ w["W"].swapaxes(-1, -2)
     a += w["b"]
-    return (np.tanh(a, out=a if out is None else out),), ()
+    np.tanh(a, out=out)
 
 
-def _lstm_cell(x_t: np.ndarray, state: tuple, w: dict, out=None) -> tuple[tuple, tuple]:
-    """LSTM update: new ``(h, c)`` and ``(zcat, c_prev, f, i, g, o, tanh_c)``."""
-    h_prev, c_prev = state
-    zcat = np.concatenate([h_prev, x_t], axis=-1)
-    f = _sigmoid(zcat @ w["W_f"].swapaxes(-1, -2) + w["b_f"])
-    i = _sigmoid(zcat @ w["W_i"].swapaxes(-1, -2) + w["b_i"])
-    g = np.tanh(zcat @ w["W_c"].swapaxes(-1, -2) + w["b_c"])
-    c = f * c_prev + i * g
-    o = _sigmoid(zcat @ w["W_o"].swapaxes(-1, -2) + w["b_o"])
+# The LSTM gate block's order: the three sigmoid gates, then the candidate
+# g, whose weights are W_c and b_c.
+_LSTM_GATES = ("f", "i", "o", "c")
+
+
+def _gate_bias(w: dict, batch: int) -> np.ndarray:
+    """The LSTM biases as one (..., 4, B, h) block of rows, in gate-block order."""
+    return _rows(np.stack([w[f"b_{g}"] for g in _LSTM_GATES], axis=-2), batch)
+
+
+def _lstm_cell(
+    zcat: np.ndarray, c_prev: np.ndarray, w: dict, bias: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, tuple]:
+    """LSTM update on ``zcat`` = [h_{t-1}, x_t]: h_t into ``out``.
+
+    Returns c_t and ``(zcat, c_prev, a, tanh_c)``, where ``a`` is the
+    (..., 4, B, h) gate block f, i, o, g and ``bias`` its bias block.
+    """
+    a = np.empty_like(bias)
+    for k, g in enumerate(_LSTM_GATES):
+        np.matmul(zcat, w[f"W_{g}"].swapaxes(-1, -2), out=a[..., k, :, :])
+    a += bias
+    _sigmoid(a[..., :3, :, :], out=a[..., :3, :, :])
+    np.tanh(a[..., 3, :, :], out=a[..., 3, :, :])
+    f, i, o, g = (a[..., k, :, :] for k in range(4))
+    c = f * c_prev
+    c += i * g
     tanh_c = np.tanh(c)
-    return (np.multiply(o, tanh_c, out=out), c), (zcat, c_prev, f, i, g, o, tanh_c)
+    np.multiply(o, tanh_c, out=out)
+    return c, (zcat, c_prev, a, tanh_c)
 
 
-def _gru_cell(x_t: np.ndarray, state: tuple, w: dict, out=None) -> tuple[tuple, tuple]:
-    """GRU update: new ``(h,)`` and ``(zcat, acat, z, r, hbar)``."""
-    (h_prev,) = state
-    zcat = np.concatenate([h_prev, x_t], axis=-1)
-    z = _sigmoid(zcat @ w["W_z"].swapaxes(-1, -2))
-    r = _sigmoid(zcat @ w["W_r"].swapaxes(-1, -2))
-    acat = np.concatenate([r * h_prev, x_t], axis=-1)
-    hbar = np.tanh(acat @ w["W"].swapaxes(-1, -2))
-    return (np.add((1.0 - z) * h_prev, z * hbar, out=out),), (zcat, acat, z, r, hbar)
+def _gru_cell(zcat: np.ndarray, w: dict, out: np.ndarray) -> tuple:
+    """GRU update on ``zcat`` = [h_{t-1}, x_t]: h_t into ``out``.
 
-
-_CELLS = {CellKind.RNN: _rnn_cell, CellKind.LSTM: _lstm_cell, CellKind.GRU: _gru_cell}
+    Returns ``(zcat, acat, a, hbar)``, where ``a`` is the (..., 2, B, h)
+    gate block z, r and ``acat`` = [r * h_{t-1}, x_t].
+    """
+    hidden = out.shape[-1]
+    h_prev = zcat[..., :hidden]
+    a = np.empty((*out.shape[:-2], 2, *out.shape[-2:]))
+    np.matmul(zcat, w["W_z"].swapaxes(-1, -2), out=a[..., 0, :, :])
+    np.matmul(zcat, w["W_r"].swapaxes(-1, -2), out=a[..., 1, :, :])
+    _sigmoid(a, out=a)
+    z, r = a[..., 0, :, :], a[..., 1, :, :]
+    acat = zcat.copy()
+    np.multiply(r, h_prev, out=acat[..., :hidden])
+    hbar = acat @ w["W"].swapaxes(-1, -2)
+    np.tanh(hbar, out=hbar)
+    np.add((1.0 - z) * h_prev, z * hbar, out=out)
+    return zcat, acat, a, hbar
 
 
 def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray, dict]:
@@ -220,8 +263,8 @@ def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray,
 
     ``inputs`` is (T, d) for one sample or (B, T, d) for a batch, and
     (M, B, T, d) for a stack of M models; the initial hidden (and cell)
-    state is zero.  Returns per-genre probabilities and a cache of every
-    activation the backward pass needs.
+    state is zero, and T must be at least 1.  Returns per-genre
+    probabilities and a cache of every activation the backward pass needs.
     """
     x = np.asarray(inputs, dtype=np.float64)
     stack = params.stack
@@ -234,33 +277,40 @@ def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray,
             f"inputs: got shape {np.shape(inputs)}, expected ({lead}*, T, {params.input_dim})"
         )
     batch, steps = x.shape[-3:-1]
-    # The cells add each bias once per step.  Copy it out to (B, h) rows
-    # once per call: a same-shape add costs about half of a (h,) broadcast
-    # add, and the sums are the same.  b_out is added once per call, so it
-    # stays as it is.
-    w = {
-        name: _rows(v, batch) if name.startswith("b") and name != "b_out" else v
-        for name, v in params.weights.items()
-    }
-    cell = _CELLS[params.cell]
-
-    # hs[0] is h_0 = 0 and hs[t + 1] receives h_t.  The RNN is handed None
-    # for h_0, so it skips that GEMM; the gated cells read the zeros.
-    hs = np.zeros((steps + 1, *stack, batch, params.hidden_dim))
-    h0 = hs[0]
-    if params.cell is CellKind.RNN:
-        state = (None,)
-    else:
-        state = (h0, h0) if params.cell is CellKind.LSTM else (h0,)
+    if steps < 1:
+        raise ShapeMismatch(f"inputs: got shape {np.shape(inputs)}, need at least one step")
+    w = params.weights
+    hidden = params.hidden_dim
     xs = x.transpose(-2, *range(x.ndim - 2), -1)  # xs[t] is x_t
-    acts = []
-    for t, x_t in enumerate(xs):
-        state, a = cell(x_t, state, w, hs[t + 1])
-        acts.append(a)
+    # hs[0] is h_0 = 0 and hs[t + 1] receives h_t.  The cells add each bias
+    # once per step, so it is copied out to (B, h) rows once per call: a
+    # same-shape add costs about half of a (h,) broadcast add, and the sums
+    # are the same.  b_out is added once per call, so it stays as it is.
+    if params.cell is CellKind.RNN:
+        # h_0 is handed over as None, so the RNN skips its GEMM.
+        hs = np.zeros((steps + 1, *stack, batch, hidden))
+        w = {**w, "b": _rows(w["b"], batch)}
+        for t, x_t in enumerate(xs):
+            _rnn_cell(x_t, hs[t] if t else None, w, hs[t + 1])
+        acts = []
+    else:
+        # zs[t] is [hs[t], xs[t]]; the gate GEMMs read the zeros of h_0.
+        zs = np.zeros((steps + 1, *stack, batch, hidden + params.input_dim))
+        zs[:-1, ..., hidden:] = xs
+        hs = zs[..., :hidden]
+        if params.cell is CellKind.LSTM:
+            bias = _gate_bias(w, batch)
+            c = hs[0]
+            acts = []
+            for t in range(steps):
+                c, a = _lstm_cell(zs[t], c, w, bias, hs[t + 1])
+                acts.append(a)
+        else:
+            acts = [_gru_cell(zs[t], w, hs[t + 1]) for t in range(steps)]
 
     z = hs[-1] @ w["V"].swapaxes(-1, -2)
     z += w["b_out"][..., None, :]
-    y = _sigmoid(z)
+    y = _sigmoid(z, out=z)
     return (y[0] if single else y), {"xs": xs, "h": hs, "y": y, "acts": acts}
 
 
@@ -365,33 +415,41 @@ def backward(
         _sum_steps(grads["b"], dz)
     elif params.cell is CellKind.LSTM:
         dc_next = np.zeros_like(dh)
+        db = np.empty((*params.stack, 4, hidden))  # the bias gradients, gate-block order
         for t in range(steps - 1, -1, -1):
             first = t == steps - 1
-            zcat, c_prev, f, i, g, o, tanh_c = acts[t]
-            do = dh * tanh_c
-            dc = dc_next + dh * o * (1.0 - tanh_c**2)
-            df = dc * c_prev
-            di = dc * g
-            dg = dc * i
-            gates = (
-                ("f", df * f * (1.0 - f)),
-                ("i", di * i * (1.0 - i)),
-                ("o", do * o * (1.0 - o)),
-                ("c", dg * (1.0 - g**2)),
-            )
-            for name, dz in gates:
-                _add_step(grads[f"W_{name}"], first, dz, zcat)
-                _add_step(grads[f"b_{name}"], first, dz)
+            zcat, c_prev, a, tanh_c = acts[t]
+            f, i, o, g = (a[..., k, :, :] for k in range(4))
+            dc = dh * o
+            dc *= 1.0 - tanh_c**2
+            dc += dc_next
+            # dz, the gate block's gradient: df, di, do times s (1 - s) for
+            # their sigmoid s, then dg (1 - g^2).
+            dz = np.empty_like(a)
+            np.multiply(dc, c_prev, out=dz[..., 0, :, :])
+            np.multiply(dc, g, out=dz[..., 1, :, :])
+            np.multiply(dh, tanh_c, out=dz[..., 2, :, :])
+            s = a[..., :3, :, :]
+            dz[..., :3, :, :] *= s
+            dz[..., :3, :, :] *= 1.0 - s
+            np.multiply(dc, i, out=dz[..., 3, :, :])
+            dz[..., 3, :, :] *= 1.0 - g**2
+            for k, name in enumerate(_LSTM_GATES):
+                _add_step(grads[f"W_{name}"], first, dz[..., k, :, :], zcat)
+            _add_step(db, first, dz)
             if t:
-                dzcat = gates[0][1] @ w["W_f"]
-                for name, dz in gates[1:]:
-                    dzcat += dz @ w[f"W_{name}"]
+                dzcat = dz[..., 0, :, :] @ w["W_f"]
+                for k in range(1, 4):
+                    dzcat += dz[..., k, :, :] @ w[f"W_{_LSTM_GATES[k]}"]
                 dh = dzcat[..., :hidden]
                 dc_next = dc * f
+        for k, name in enumerate(_LSTM_GATES):
+            grads[f"b_{name}"][...] = db[..., k, :]
     else:
         for t in range(steps - 1, -1, -1):
             first = t == steps - 1
-            zcat, acat, z, r, hbar = acts[t]
+            zcat, acat, a, hbar = acts[t]
+            z, r = a[..., 0, :, :], a[..., 1, :, :]
             h_prev = hs[t]
             dhbar = dh * z
             dz_gate = dh * (hbar - h_prev)
@@ -413,10 +471,22 @@ def backward(
     return grads
 
 
+# predict runs a large set as near-equal chunks of at most this many rows,
+# so that no activation cache grows with the set.  Rows are independent,
+# but OpenBLAS takes another kernel for a GEMM of a few rows (fewer than
+# 64 moved bits on the pinned build), so the chunks are balanced rather
+# than leaving a short tail.
+_PREDICT_ROWS = 4096
+
+
 def predict(params: NetParams, inputs: np.ndarray) -> np.ndarray:
-    """Per-genre probabilities; the activation cache is built and dropped."""
-    y, _ = forward_sequence(inputs, params)
-    return y
+    """Per-genre probabilities; each chunk's activation cache is built and dropped."""
+    x = np.asarray(inputs, dtype=np.float64)
+    chunks = -(-x.shape[-3] // _PREDICT_ROWS) if x.ndim >= 3 else 1
+    if chunks <= 1:
+        return forward_sequence(x, params)[0]
+    parts = np.array_split(x, chunks, axis=-3)
+    return np.concatenate([forward_sequence(part, params)[0] for part in parts], axis=-2)
 
 
 @dataclass(frozen=True)

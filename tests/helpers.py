@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from genreseq.ingest import Users
 from genreseq.genres import encode_genres
-from genreseq.nets import bce_loss, forward_sequence
+from genreseq.nets import CellKind, _views, bce_loss, forward_sequence
 
 
 # The build the sha256 pins (report bytes, trained weights) were recorded
@@ -156,26 +157,169 @@ def bce_oracle(y, target):
 
 
 # ---------------------------------------------------------------------------
+# frozen per-gate gated cells
+#
+# The LSTM and GRU kernels as they were before their gates became blocks:
+# one GEMM, bias add and activation per gate, and a concatenated [h, x]
+# per step.  The block kernels in genreseq.nets must give the same bits.
+
+
+def _frozen_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
+
+
+def _frozen_rows(v, n):
+    rows = np.empty((*v.shape[:-1], n, v.shape[-1]))
+    rows[...] = v[..., None, :]
+    return rows
+
+
+def _frozen_lstm_cell(x_t, state, w, out):
+    h_prev, c_prev = state
+    zcat = np.concatenate([h_prev, x_t], axis=-1)
+    f = _frozen_sigmoid(zcat @ w["W_f"].swapaxes(-1, -2) + w["b_f"])
+    i = _frozen_sigmoid(zcat @ w["W_i"].swapaxes(-1, -2) + w["b_i"])
+    g = np.tanh(zcat @ w["W_c"].swapaxes(-1, -2) + w["b_c"])
+    c = f * c_prev + i * g
+    o = _frozen_sigmoid(zcat @ w["W_o"].swapaxes(-1, -2) + w["b_o"])
+    tanh_c = np.tanh(c)
+    return (np.multiply(o, tanh_c, out=out), c), (zcat, c_prev, f, i, g, o, tanh_c)
+
+
+def _frozen_gru_cell(x_t, state, w, out):
+    (h_prev,) = state
+    zcat = np.concatenate([h_prev, x_t], axis=-1)
+    z = _frozen_sigmoid(zcat @ w["W_z"].swapaxes(-1, -2))
+    r = _frozen_sigmoid(zcat @ w["W_r"].swapaxes(-1, -2))
+    acat = np.concatenate([r * h_prev, x_t], axis=-1)
+    hbar = np.tanh(acat @ w["W"].swapaxes(-1, -2))
+    return (np.add((1.0 - z) * h_prev, z * hbar, out=out),), (zcat, acat, z, r, hbar)
+
+
+def frozen_gated_forward(x, params):
+    """(y, cache) of a batched (B, T, d) or stacked (M, B, T, d) LSTM/GRU forward."""
+    stack = params.stack
+    batch, steps = x.shape[-3:-1]
+    w = {
+        name: _frozen_rows(v, batch) if name.startswith("b") and name != "b_out" else v
+        for name, v in params.weights.items()
+    }
+    hs = np.zeros((steps + 1, *stack, batch, params.hidden_dim))
+    h0 = hs[0]
+    if params.cell is CellKind.LSTM:
+        cell, state = _frozen_lstm_cell, (h0, h0)
+    else:
+        cell, state = _frozen_gru_cell, (h0,)
+    xs = x.transpose(-2, *range(x.ndim - 2), -1)
+    acts = []
+    for t, x_t in enumerate(xs):
+        state, a = cell(x_t, state, w, hs[t + 1])
+        acts.append(a)
+    z = hs[-1] @ w["V"].swapaxes(-1, -2)
+    z += w["b_out"][..., None, :]
+    return _frozen_sigmoid(z), {"xs": xs, "h": hs, "acts": acts}
+
+
+def _frozen_add_step(out, first, dz, inputs=None):
+    dst = out if first else None
+    if inputs is None:
+        term = np.add.reduce(dz, axis=-2, out=dst)
+    else:
+        term = np.matmul(dz.swapaxes(-1, -2), inputs, out=dst)
+    if not first:
+        out += term
+
+
+def frozen_gated_backward(y, cache, target, params):
+    """Gradients of the loss for :func:`frozen_gated_forward`'s cache."""
+    w = params.weights
+    grads = {k: np.empty_like(v) for k, v in w.items()}
+    steps = len(cache["xs"])
+    hidden = params.hidden_dim
+    dz_out = (y - target) / (y.shape[-2] * y.shape[-1])
+    hs, acts = cache["h"], cache["acts"]
+    np.matmul(dz_out.swapaxes(-1, -2), hs[-1], out=grads["V"])
+    np.add.reduce(dz_out, axis=-2, out=grads["b_out"])
+    dh = dz_out @ w["V"]
+    if params.cell is CellKind.LSTM:
+        dc_next = np.zeros_like(dh)
+        for t in range(steps - 1, -1, -1):
+            first = t == steps - 1
+            zcat, c_prev, f, i, g, o, tanh_c = acts[t]
+            do = dh * tanh_c
+            dc = dc_next + dh * o * (1.0 - tanh_c**2)
+            df = dc * c_prev
+            di = dc * g
+            dg = dc * i
+            gates = (
+                ("f", df * f * (1.0 - f)),
+                ("i", di * i * (1.0 - i)),
+                ("o", do * o * (1.0 - o)),
+                ("c", dg * (1.0 - g**2)),
+            )
+            for name, dz in gates:
+                _frozen_add_step(grads[f"W_{name}"], first, dz, zcat)
+                _frozen_add_step(grads[f"b_{name}"], first, dz)
+            if t:
+                dzcat = gates[0][1] @ w["W_f"]
+                for name, dz in gates[1:]:
+                    dzcat += dz @ w[f"W_{name}"]
+                dh = dzcat[..., :hidden]
+                dc_next = dc * f
+    else:
+        for t in range(steps - 1, -1, -1):
+            first = t == steps - 1
+            zcat, acat, z, r, hbar = acts[t]
+            h_prev = hs[t]
+            dhbar = dh * z
+            dz_gate = dh * (hbar - h_prev)
+            da = dhbar * (1.0 - hbar**2)
+            _frozen_add_step(grads["W"], first, da, acat)
+            dzz = dz_gate * z * (1.0 - z)
+            _frozen_add_step(grads["W_z"], first, dzz, zcat)
+            if t:
+                dh_prev = dh * (1.0 - z)
+                dacat = da @ w["W"]
+                dr = dacat[..., :hidden] * h_prev
+                dh_prev += dacat[..., :hidden] * r
+                dzr = dr * r * (1.0 - r)
+                _frozen_add_step(grads["W_r"], first, dzr, zcat)
+                dh_prev += (dzz @ w["W_z"])[..., :hidden] + (dzr @ w["W_r"])[..., :hidden]
+                dh = dh_prev
+        if steps == 1:
+            grads["W_r"][...] = 0.0
+    return grads
+
+
+# ---------------------------------------------------------------------------
 # gradient checking
 
 
 def fd_gradients(params, x, target, step=1e-5):
-    """Central finite differences of the loss for every parameter entry."""
-    out = {}
-    for key, w in params.weights.items():
-        grad = np.zeros_like(w)
-        flat = w.ravel()
-        gflat = grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = bce_loss(forward_sequence(x, params)[0], target)
-            flat[i] = orig - step
-            down = bce_loss(forward_sequence(x, params)[0], target)
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * step)
-        out[key] = grad
-    return out
+    """Central finite differences of the loss for every parameter entry.
+
+    Each of the P entries is moved +step in model p and -step in model
+    P + p of one (2P, ...) parameter stack, every other entry as it is,
+    so one stacked forward gives all 2P losses.  Each model's loss is bit
+    for bit that of a lone forward with that one entry moved.
+    """
+    flat = np.concatenate([w.ravel() for w in params.weights.values()])
+    size = flat.size
+    moved = np.tile(flat, (2 * size, 1))
+    entry = np.arange(size)
+    moved[entry, entry] = flat + step
+    moved[size + entry, entry] = flat - step
+    stack = replace(params, weights=_views(moved, params.weights))
+    x = np.asarray(x, dtype=np.float64)
+    x = x.reshape(-1, *x.shape[-2:])
+    target = np.asarray(target, dtype=np.float64).reshape(len(x), -1)
+    y, _ = forward_sequence(np.broadcast_to(x, (2 * size, *x.shape)), stack)
+    losses = bce_loss(y, np.broadcast_to(target, (2 * size, *target.shape)))
+    return _views((losses[:size] - losses[size:]) / (2.0 * step), params.weights)
 
 
 def max_relative_error(analytic, numeric, floor=1e-6):

@@ -8,10 +8,14 @@ import pytest
 
 from genreseq.errors import EmptyDataset, ShapeMismatch
 from genreseq.nets import (
-    _CELLS,
+    _PREDICT_ROWS,
     CellKind,
     NetParams,
     TrainConfig,
+    _gate_bias,
+    _gru_cell,
+    _lstm_cell,
+    _rnn_cell,
     _sigmoid,
     _sum_steps,
     backward,
@@ -29,6 +33,8 @@ from genreseq.transitions import Dataset
 from .helpers import (
     bce_oracle,
     fd_gradients,
+    frozen_gated_backward,
+    frozen_gated_forward,
     gru_step_oracle,
     lstm_step_oracle,
     max_relative_error,
@@ -50,9 +56,22 @@ def random_params(cell, seed, scale=0.5):
 
 
 def step(cell, x, state, params):
-    """The new state after one step of the cell's private kernel."""
-    new_state, _ = _CELLS[cell](x, state, params.weights)
-    return new_state
+    """The new state after one step of the cell's private kernel, for one sample.
+
+    ``state`` is ``(h,)``, or ``(h, c)`` for the LSTM; the gated kernels
+    read h_{t-1} from their [h_{t-1}, x_t] row.
+    """
+    w = params.weights
+    h = np.empty((1, H))
+    if cell is CellKind.RNN:
+        _rnn_cell(x[None], state[0][None], w, h)
+        return (h[0],)
+    zcat = np.concatenate([state[0], x])[None]
+    if cell is CellKind.LSTM:
+        c, _ = _lstm_cell(zcat, state[1][None], w, _gate_bias(w, 1), h)
+        return h[0], c[0]
+    _gru_cell(zcat, w, h)
+    return (h[0],)
 
 
 class TestRnnStep:
@@ -197,6 +216,14 @@ class TestForwardSequence:
             forward_sequence(np.zeros((4, D + 2)), params)
 
     @pytest.mark.parametrize("cell", list(CellKind))
+    @pytest.mark.parametrize("shape", [(3, 0, D), (0, D)])
+    def test_zero_steps_rejected(self, cell, shape):
+        # With no step, backward would have no term to write into the
+        # weight gradients and would hand back uninitialised memory.
+        with pytest.raises(ShapeMismatch, match="at least one step"):
+            forward_sequence(np.zeros(shape), random_params(cell, seed=60))
+
+    @pytest.mark.parametrize("cell", list(CellKind))
     @pytest.mark.parametrize("shape", [(5, 4, D), (4, D)])
     def test_hidden_states_equal_chained_steps(self, cell, shape):
         # Every cached h_t equals the scalar oracle chained from h_0 = 0
@@ -229,16 +256,83 @@ def two_branch_sigmoid(x):
     return out
 
 
+def sigmoid_inputs():
+    edges = [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf]
+    return np.concatenate([edges, np.random.default_rng(56).normal(0.0, 20.0, 2000)])
+
+
+def same_bits(a, b):
+    """Equal bit patterns, so signed zeros and subnormals count too."""
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
 class TestSigmoid:
     def test_bit_identical_to_two_branch_formula(self):
-        edges = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0])
-        x = np.concatenate([edges, np.random.default_rng(56).normal(0.0, 20.0, 2000)])
+        x = sigmoid_inputs()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = _sigmoid(x)
             expected = two_branch_sigmoid(x)
-        # Compare bit patterns, so signed zeros and subnormals count too.
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert same_bits(got, expected)
+
+    def test_in_place(self):
+        x = sigmoid_inputs()
+        expected = two_branch_sigmoid(x)
+        assert _sigmoid(x, out=x) is x
+        assert same_bits(x, expected)
+
+    def test_strided_block_slice(self):
+        # The sigmoid gates of a stacked LSTM gate block: a (M, 3, B, h)
+        # slice of (M, 4, B, h), written in place; the fourth gate is untouched.
+        block = np.random.default_rng(61).normal(0.0, 20.0, (2, 4, 7, 5))
+        block[0, 0, 0, :] = [0.0, -0.0, np.inf, -np.inf, 800.0]
+        block[1, 2, 6, :] = [-800.0, 745.0, -745.0, 1e-300, -1e-300]
+        before = block.copy()
+        gates = block[:, :3]
+        _sigmoid(gates, out=gates)
+        assert same_bits(block[:, :3], two_branch_sigmoid(before[:, :3]))
+        assert same_bits(block[:, 3], before[:, 3])
+
+    def test_nan_stays_nan(self):
+        x = np.array([np.nan, -np.nan, 0.0])
+        got = _sigmoid(x.copy())
+        assert np.isnan(got[:2]).all() and got[2] == 0.5
+        assert np.isnan(_sigmoid(x, out=x)[:2]).all()
+
+
+def stacked(params_list):
+    """One stack of the given lone params."""
+    first = params_list[0]
+    weights = {k: np.stack([p.weights[k] for p in params_list]) for k in first.weights}
+    return NetParams(first.cell, first.input_dim, first.hidden_dim, first.output_dim, weights)
+
+
+class TestGateBlocksExact:
+    """The gate-block kernels against the frozen per-gate ones, bit for bit."""
+
+    @pytest.mark.parametrize("cell", [CellKind.LSTM, CellKind.GRU])
+    @pytest.mark.parametrize("models", [None, 1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 7, 32, 224, 225])
+    def test_matches_per_gate_kernels(self, cell, models, batch):
+        rng = np.random.default_rng(62)
+        for d in (19, 38):
+            for steps in (1, 4):
+                lone = [init_params(cell, d, 32, seed=int(s)) for s in rng.integers(1 << 30, size=models or 1)]
+                params = stacked(lone) if models else lone[0]
+                lead = (models,) if models else ()
+                x = rng.uniform(0, 1, (*lead, batch, steps, d))
+                target = (rng.uniform(size=(*lead, batch, 19)) < 0.3).astype(float)
+                y, cache = forward_sequence(x, params)
+                ref_y, ref_cache = frozen_gated_forward(x, params)
+                case = f"d={d} T={steps}"
+                assert same_bits(y, ref_y), case
+                assert len(cache["h"]) == len(ref_cache["h"]) == steps + 1
+                for h, ref_h in zip(cache["h"], ref_cache["h"]):
+                    assert same_bits(h, ref_h), case
+                grads = backward(cache, target, params)
+                ref_grads = frozen_gated_backward(ref_y, ref_cache, target, params)
+                for key, ref in ref_grads.items():
+                    assert same_bits(grads[key], ref), (case, key)
 
 
 class TestBceLoss:
@@ -526,6 +620,21 @@ class TestTrainExactness:
             train([ds, ds], CellKind.RNN, [PINNED_CONFIG])
         with pytest.raises(ValueError, match="0 datasets"):
             train([], CellKind.RNN, [])
+
+
+class TestPredict:
+    @pytest.mark.parametrize("cell", list(CellKind))
+    @pytest.mark.parametrize("rows", [_PREDICT_ROWS + 1, 2 * _PREDICT_ROWS + 60])
+    def test_chunks_match_one_whole_set_call(self, cell, rows):
+        params = init_params(cell, 38, 32, seed=63)
+        x = np.random.default_rng(63).uniform(0, 1, (rows, 4, 38))
+        assert same_bits(predict(params, x), forward_sequence(x, params)[0])
+
+    def test_one_sample_and_empty_set(self):
+        params = random_params(CellKind.LSTM, seed=64)
+        x = np.random.default_rng(64).uniform(0, 1, (4, D))
+        assert same_bits(predict(params, x), forward_sequence(x, params)[0])
+        assert predict(params, np.zeros((0, 4, D))).shape == (0, 19)
 
 
 class TestCheckpoint:
