@@ -64,9 +64,13 @@ def confusion_counts(
     targets: Sequence[np.ndarray] | np.ndarray,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> ConfusionCounts:
-    """Pool per-(sample, genre) decisions into one confusion quadruple."""
+    """Pool per-(sample, genre) decisions into one confusion quadruple.
+
+    Targets of any real dtype (the pipeline's are uint8) are compared as
+    they are, without a float copy.
+    """
     preds = np.asarray(predictions, dtype=np.float64)
-    targs = np.asarray(targets, dtype=np.float64)
+    targs = np.asarray(targets)
     if preds.shape != targs.shape:
         raise LengthMismatch(f"predictions {preds.shape} vs targets {targs.shape}")
     yes = preds > threshold
@@ -127,7 +131,7 @@ class MovieGenreMatrix:
 
     @classmethod
     def from_sequences(cls, cluster: int, users: Users) -> "MovieGenreMatrix":
-        counts = users.genres.sum(axis=1).astype(np.int64)
+        counts = users.genres.sum(axis=1, dtype=np.int64)
         return cls(cluster, counts, SEQUENCE_LENGTH * len(users))
 
 
@@ -154,10 +158,10 @@ def apply_trim_to_dataset(samples: Dataset, zeroed: Iterable[int]) -> tuple[Data
     Dimensions are kept (set to 0), not removed.  A sample is dropped and
     tallied when any of its movies loses its whole genre set, since its
     transition vector would be undefined.  Kept samples stay in input
-    order.  Returns (samples, dropped).
+    order and keep their dtype.  Returns (samples, dropped).
     """
-    mask = np.ones(N_GENRES)
-    mask[list(zeroed)] = 0.0
+    mask = np.ones(N_GENRES, dtype=bool)
+    mask[list(zeroed)] = False
     steps = samples.inputs * mask
     targets = samples.targets * mask
     keep = (steps.sum(axis=2) != 0).all(axis=1) & (targets.sum(axis=1) != 0)

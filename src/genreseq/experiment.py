@@ -198,6 +198,24 @@ def _subsample(users: Users, config: ExperimentConfig) -> Users:
     return users[np.sort(idx)]
 
 
+# _profiles casts this many users' genres to float64 at a time.
+_PROFILE_ROWS = 4096
+
+
+def _profiles(users: Users) -> np.ndarray:
+    """(n, 19) rating profiles, one :func:`rating_profile` call per user.
+
+    Each call gets its user's genres as float64 rows of a cast block, so it
+    computes on the same arrays as on a float64 table.
+    """
+    points = np.empty((len(users), N_GENRES))
+    for start in range(0, len(users), _PROFILE_ROWS):
+        block = users.genres[start : start + _PROFILE_ROWS].astype(np.float64)
+        for i, (g, r) in enumerate(zip(block, users.rating[start : start + _PROFILE_ROWS]), start):
+            points[i] = rating_profile(g, r)
+    return points
+
+
 def _fit_and_score(
     samples: tuple[Dataset, Dataset],
     probs: np.ndarray,
@@ -250,8 +268,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     users = _subsample(users, config)
     funnel["users_after_max_users"] = len(users)
 
-    profiles = [rating_profile(g, r) for g, r in zip(users.genres, users.rating)]
-    points = np.array(profiles).reshape(len(users), N_GENRES)
+    points = _profiles(users)
     cmodel: ClusterModel = kmeans(points, config.k, seed=derive_seed(config.seed, "kmeans"))
     clusters = np.unique(cmodel.labels).tolist()
 

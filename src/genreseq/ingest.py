@@ -57,14 +57,28 @@ def _check_ratings(ratings: np.ndarray) -> None:
         raise _out_of_range(float(ratings.flat[np.argmax(bad)]))
 
 
+def _multi_hot(genres) -> np.ndarray:
+    """``genres`` as a read-only uint8 0/1 array; raises unless every value is 0 or 1.
+
+    The values are checked as given, before the cast, which would wrap
+    256 to 0 and truncate 0.5 to 0.
+    """
+    raw = np.asarray(genres)
+    if not np.all((raw == 0) | (raw == 1)):
+        raise ValueError("genre matrix must be multi-hot")
+    column = raw.astype(np.uint8, copy=False)
+    column.setflags(write=False)
+    return column
+
+
 @dataclass(frozen=True, eq=False)
 class Users:
     """Each kept user's five most recent movies, one row per user.
 
     ``user_id`` is (n,); ``movie_id``, ``rating`` and ``timestamp`` are
     (n, 5), chronological, ties broken by ascending movie id; ``genres``
-    is (n, 5, 19) multi-hot, ``genres[i, t]`` the genres of user i's
-    movie t.  The columns are validated once, in bulk, and read-only.
+    is (n, 5, 19) uint8 multi-hot, ``genres[i, t]`` the genres of user
+    i's movie t.  The columns are validated once, in bulk, and read-only.
     """
 
     user_id: np.ndarray
@@ -80,18 +94,16 @@ class Users:
             "movie_id": (np.int64, (n, SEQUENCE_LENGTH)),
             "rating": (np.float64, (n, SEQUENCE_LENGTH)),
             "timestamp": (np.int64, (n, SEQUENCE_LENGTH)),
-            "genres": (np.float64, (n, SEQUENCE_LENGTH, N_GENRES)),
+            "genres": (None, (n, SEQUENCE_LENGTH, N_GENRES)),  # uint8, by _multi_hot
         }
         for name, (dtype, shape) in shapes.items():
             column = np.asarray(getattr(self, name), dtype=dtype)
             if column.shape != shape:
                 raise ValueError(f"{name} shape {column.shape}, expected {shape}")
+            column = _multi_hot(column) if dtype is None else column
             column.setflags(write=False)
             object.__setattr__(self, name, column)
-        genres = self.genres
-        if not np.all((genres == 0.0) | (genres == 1.0)):
-            raise ValueError("genre matrix must be multi-hot")
-        if not genres.any(axis=2).all():
+        if not self.genres.any(axis=2).all():
             raise ValueError("every movie needs at least one genre")
         _check_ratings(self.rating)
         later = np.diff(self.timestamp, axis=1)
@@ -119,8 +131,8 @@ class MovieCatalog:
     """The movies that have genres, as two aligned columns.
 
     ``ids`` is (m,) int64, ascending and unique; ``genres`` is (m, 19)
-    multi-hot, ``genres[i]`` the genres of movie ``ids[i]``.
-    ``skipped_no_genre`` counts the genre-less movies left out.
+    uint8 multi-hot and read-only, ``genres[i]`` the genres of movie
+    ``ids[i]``.  ``skipped_no_genre`` counts the genre-less movies left out.
     """
 
     ids: np.ndarray
@@ -130,6 +142,7 @@ class MovieCatalog:
     def __post_init__(self):
         if self.genres.shape != (self.ids.size, N_GENRES) or np.any(np.diff(self.ids) <= 0):
             raise ValueError("catalog ids must be ascending and unique, one genre row each")
+        object.__setattr__(self, "genres", _multi_hot(self.genres))
 
 
 def load_movies(path: str | Path) -> MovieCatalog:
@@ -171,7 +184,7 @@ def load_movies(path: str | Path) -> MovieCatalog:
                 raise MalformedRow(line, str(exc)) from None
     ids = np.array(list(genres), dtype=np.int64)
     order = np.argsort(ids)
-    rows = np.array(list(genres.values())).reshape(-1, N_GENRES)
+    rows = np.array(list(genres.values()), dtype=np.uint8).reshape(-1, N_GENRES)
     return MovieCatalog(ids[order], rows[order], skipped)
 
 
@@ -311,12 +324,12 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Users, np.ndarray]:
 
     rng = np.random.default_rng(spec.seed)
     n = spec.n_users
-    genres = np.zeros((n, SEQUENCE_LENGTH, N_GENRES))
+    genres = np.zeros((n, SEQUENCE_LENGTH, N_GENRES), dtype=np.uint8)
     ratings = np.empty((n, SEQUENCE_LENGTH))
     for u in range(n):
         sizes = rng.integers(low, high + 1, size=SEQUENCE_LENGTH)
         chosen = rng.choice(N_GENRES, size=int(sizes[0]), replace=False)
-        genres[u, 0, chosen] = 1.0
+        genres[u, 0, chosen] = 1
         for t in range(1, SEQUENCE_LENGTH):
             prev = np.flatnonzero(genres[u, t - 1])
             probs = planted[prev].mean(axis=0)
@@ -324,7 +337,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Users, np.ndarray]:
             # A sparse row can support fewer distinct genres than asked for.
             size = min(int(sizes[t]), int(np.count_nonzero(probs)))
             chosen = rng.choice(N_GENRES, size=size, replace=False, p=probs)
-            genres[u, t, chosen] = 1.0
+            genres[u, t, chosen] = 1
         ratings[u] = rng.choice(RATING_GRID, size=SEQUENCE_LENGTH)
     steps = np.arange(SEQUENCE_LENGTH)
     users = Users(

@@ -480,8 +480,12 @@ _PREDICT_ROWS = 4096
 
 
 def predict(params: NetParams, inputs: np.ndarray) -> np.ndarray:
-    """Per-genre probabilities; each chunk's activation cache is built and dropped."""
-    x = np.asarray(inputs, dtype=np.float64)
+    """Per-genre probabilities; each chunk's activation cache is built and dropped.
+
+    Inputs of another dtype (uint8 genres) are cast to float64 one chunk at
+    a time, inside ``forward_sequence``.
+    """
+    x = np.asarray(inputs)
     chunks = -(-x.shape[-3] // _PREDICT_ROWS) if x.ndim >= 3 else 1
     if chunks <= 1:
         return forward_sequence(x, params)[0]
@@ -576,9 +580,10 @@ def _take_rows(src: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
     """``out[...] = src[idx]``, written straight into ``out`` where numpy can.
 
     ``np.take`` copies a strided source (GenreOnly's inputs are a view)
-    whole before it gathers, so that case goes through a temporary.
+    whole before it gathers, and cannot write another dtype (the uint8
+    genres into the float64 batch), so those cases go through a temporary.
     """
-    if src.flags.c_contiguous:
+    if src.flags.c_contiguous and src.dtype == out.dtype:
         np.take(src, idx, axis=0, out=out, mode="clip")  # idx is in range; "raise" buffers out
     else:
         out[...] = src[idx]

@@ -59,16 +59,28 @@ class TransitionModel:
         return cls(cluster, counts, normalize_transitions(counts))
 
 
+# count_transitions casts this many users' genres to float32 at a time
+# (a 1.5 MB block, which counted faster than larger ones).  Each GEMM then
+# sums at most this many 0/1 products per count, exact far below 2**24.
+_COUNT_ROWS = 4096
+
+
 def count_transitions(users: Users) -> np.ndarray:
     """Count genre co-transitions over every consecutive movie pair.
 
     For movies at steps t-1 and t, counts[i, j] gains 1 for every genre i
-    of the earlier movie and every genre j of the later one.  One (n, 19)
-    GEMM per step pair, on strided views, so no (4n, 19) copy is made; the
-    float sums are of 0/1 products, so they are exact integers.
+    of the earlier movie and every genre j of the later one.  The uint8
+    genres are cast to float32 one row block at a time, and each block
+    takes one (rows, 19) GEMM per step pair on strided views.  The sums
+    are of 0/1 products, so every block's counts are exact integers and
+    neither the blocks nor their order change the total.
     """
     genres = users.genres
-    counts = sum(genres[:, t - 1].T @ genres[:, t] for t in range(1, SEQUENCE_LENGTH))
+    counts = np.zeros((N_GENRES, N_GENRES))
+    for start in range(0, len(genres), _COUNT_ROWS):
+        block = genres[start : start + _COUNT_ROWS].astype(np.float32)
+        for t in range(1, SEQUENCE_LENGTH):
+            counts += block[:, t - 1].T @ block[:, t]
     return counts.astype(np.int64)
 
 
@@ -114,7 +126,7 @@ class Dataset:
 def genre_samples(users: Users) -> Dataset:
     """Raw (``GenreOnly``) samples: each user's 4 input genre rows and 5th-movie target.
 
-    Both are read-only views of ``users.genres``.
+    Both are read-only uint8 views of ``users.genres``.
     """
     return Dataset(users.genres[:, :4], users.genres[:, 4])
 
@@ -126,7 +138,8 @@ def featurize(samples: Dataset, probs: np.ndarray, mode: FeatureMode) -> Dataset
     its support rows in genre order onto 0.0 and divides by the support
     size, the same arithmetic as ``probs[sup].mean(axis=0)``.  (A matmul
     ``steps @ probs`` sums in a different order and is off by ~1e-17.)
-    ``GenreOnly`` returns ``samples`` itself, not a copy.
+    The 0/1 steps, uint8 or float, enter the float64 inputs as the same
+    values.  ``GenreOnly`` returns ``samples`` itself, not a copy.
     """
     steps = samples.inputs
     support = steps != 0

@@ -84,6 +84,13 @@ def random_users(rng, n, max_genres=3, first_id=1):
     return users_from(genres, ratings, first_id=first_id)
 
 
+def random_genres(rng, n, density=0.15):
+    """(n, 5, 19) uint8 random genre windows, every movie with at least one genre."""
+    genres = (rng.uniform(size=(n, 5, 19)) < density).astype(np.uint8)
+    np.put_along_axis(genres, rng.integers(0, 19, size=(n, 5, 1)), 1, axis=2)
+    return genres
+
+
 def stack_users(parts):
     """The rows of several tables, in order, as one table."""
     columns = ("user_id", "movie_id", "rating", "timestamp", "genres")

@@ -8,9 +8,10 @@ from genreseq.clustering import (
     rating_profile,
 )
 from genreseq.errors import TooFewUsers
+from genreseq.experiment import _PROFILE_ROWS, _profiles
 from genreseq.genres import genre_index
 
-from .helpers import make_sequence, random_users
+from .helpers import make_sequence, random_genres, random_users, users_from
 
 
 class TestRatingProfile:
@@ -40,6 +41,26 @@ class TestRatingProfile:
                 ratings = [user_ratings[t] for t in range(5) if genres[t, j] == 1.0]
                 expected = sum(ratings) / len(ratings) if ratings else 0.0
                 assert profile[j] == pytest.approx(expected)
+
+    def test_uint8_matches_float64(self):
+        users = random_users(np.random.default_rng(18), 40, max_genres=6)
+        assert users.genres.dtype == np.uint8
+        for genres, user_ratings in zip(users.genres, users.rating):
+            got = rating_profile(genres, user_ratings)
+            expected = rating_profile(genres.astype(np.float64), user_ratings)
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_run_profiles_match_per_user_calls(self):
+        # Two cast blocks, the second short: one row per user, each the bits
+        # of that user's call on float64 genres.
+        rng = np.random.default_rng(19)
+        n = _PROFILE_ROWS + 5
+        users = users_from(random_genres(rng, n), rng.choice(np.arange(1, 11) * 0.5, size=(n, 5)))
+        points = _profiles(users)
+        expected = np.array([rating_profile(g.astype(np.float64), r) for g, r in zip(users.genres, users.rating)])
+        assert points.shape == (n, 19)
+        assert np.array_equal(points.view(np.uint64), expected.view(np.uint64))
 
 
 def profiles_from(points):

@@ -15,7 +15,7 @@ from genreseq.evaluation import (
     trim_genres,
 )
 from genreseq.genres import genre_index
-from genreseq.transitions import Dataset
+from genreseq.transitions import Dataset, genre_samples
 
 from .helpers import confusion_oracle, make_sequence, metrics_oracle, random_users, stack_users
 
@@ -42,6 +42,12 @@ class TestConfusionCounts:
         c = confusion_counts(preds, targets)
         assert (c.tp, c.fp, c.fn, c.tn) == confusion_oracle(preds, targets)
         assert c.total == 50 * 19
+
+    def test_uint8_targets_match_float64(self):
+        rng = np.random.default_rng(39)
+        targets = (rng.uniform(size=(50, 19)) < 0.3).astype(np.uint8)
+        preds = rng.uniform(size=(50, 19))
+        assert confusion_counts(preds, targets) == confusion_counts(preds, targets.astype(np.float64))
 
 
 class TestMetrics:
@@ -288,6 +294,20 @@ class TestApplyTrim:
         assert dropped == len(rows) - len(expected)
         assert np.array_equal(kept.inputs, np.array([e[0] for e in expected]))
         assert np.array_equal(kept.targets, np.array([e[1] for e in expected]))
+
+    def test_uint8_matches_float64(self):
+        # The trim keeps its input dtype, and uint8 rows come out with the
+        # values of the same rows in float64.
+        samples = genre_samples(random_users(np.random.default_rng(37), 80, max_genres=3))
+        table = Dataset(samples.inputs.astype(np.float64), samples.targets.astype(np.float64))
+        zeroed = {0, 3, 7, 11}
+        kept, dropped = apply_trim_to_dataset(samples, zeroed)
+        expected, expected_dropped = apply_trim_to_dataset(table, zeroed)
+        assert 0 < dropped == expected_dropped < len(samples)
+        assert kept.inputs.dtype == kept.targets.dtype == np.uint8
+        assert expected.inputs.dtype == expected.targets.dtype == np.float64
+        assert np.array_equal(kept.inputs, expected.inputs)
+        assert np.array_equal(kept.targets, expected.targets)
 
 
 class TestMeanClusterMetrics:

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from genreseq.ingest import (
     load_movies,
     load_ratings,
 )
-from genreseq.transitions import count_transitions, normalize_transitions
+from genreseq.transitions import count_transitions, genre_samples, normalize_transitions
 
 from .helpers import make_sequence
 
@@ -72,6 +73,13 @@ class TestLoadMovies:
             MovieCatalog(np.array([3, 3]), one_hot)
         with pytest.raises(ValueError, match="one genre row each"):
             MovieCatalog(np.array([3]), one_hot)
+
+    @pytest.mark.parametrize("bad", [0.5, 2, 256, -1, np.nan])
+    def test_catalog_genres_checked_before_uint8_cast(self, bad):
+        genres = np.eye(19)[:2]
+        genres[0, 5] = bad
+        with pytest.raises(ValueError, match="genre matrix must be multi-hot"):
+            MovieCatalog(np.array([3, 5]), genres)
 
     def test_no_movies(self, tmp_path):
         catalog = load_movies(write(tmp_path, "movies.csv", "movieId,title,genres\n"))
@@ -406,6 +414,18 @@ class TestSequenceInvariants:
         with pytest.raises(ValueError):
             Users(**columns(genres=np.full((1, 5, 19), 0.5)))
 
+    @pytest.mark.parametrize(
+        "bad, dtype",
+        [(v, np.float64) for v in (0.5, 2, 256, -1, np.nan)] + [(v, np.int64) for v in (2, 256, -1)],
+    )
+    def test_genres_checked_before_uint8_cast(self, bad, dtype):
+        # Each row keeps a genre, so a check after the cast would pass 256
+        # and 0.5 as 0 (and nan, cast, as 0 too).
+        genres = np.tile(np.eye(19)[0], (1, 5, 1)).astype(dtype)
+        genres[0, 2, 5] = bad
+        with pytest.raises(ValueError, match="genre matrix must be multi-hot"):
+            Users(**columns(genres=genres))
+
     def test_rating_bounds(self):
         for bad in (0.0, 5.5, np.nan):
             with pytest.raises(RatingOutOfRange):
@@ -423,6 +443,35 @@ class TestSequenceInvariants:
         assert picked.genres.shape == (2, 5, 19)
         assert not picked.rating.flags.writeable
         assert users[users.user_id > 2].user_id.tolist() == [3, 4]
+
+
+class TestGenreColumn:
+    """Genres are stored once, as read-only uint8 0/1 values."""
+
+    def test_uint8_from_every_source(self, tmp_path, catalog):
+        ratings = table([(1, m, 3.0, 100 + m) for m in range(1, 6)])
+        built, _ = build_sequences(ratings, catalog)
+        synthetic, _ = generate_synthetic(SyntheticSpec(3, np.full((19, 19), 1.0 / 19), seed=1))
+        movies = load_movies(write(tmp_path, "movies.csv", "movieId,title,genres\n1,A,Drama|War\n"))
+        for genres in (built.genres, synthetic.genres, Users(**columns(2)).genres, catalog.genres, movies.genres):
+            assert genres.dtype == np.uint8
+            assert not genres.flags.writeable
+        assert np.flatnonzero(movies.genres[0]).tolist() == [genre_index("Drama"), genre_index("War")]
+        assert built.genres.sum() == 5 and movies.genres.sum() == 2
+
+    def test_row_bytes(self):
+        # user_id, three (5,) columns of 8-byte values, 5 x 19 genre bytes.
+        users = Users(**columns(3))
+        assert users.genres.dtype == np.uint8
+        row = sum(getattr(users, f.name).nbytes for f in fields(users)) / len(users)
+        assert row == 8 + 3 * 40 + 95 == 223
+
+    def test_genre_samples_are_views(self):
+        users = Users(**columns(3))
+        samples = genre_samples(users)
+        assert np.shares_memory(samples.inputs, users.genres)
+        assert np.shares_memory(samples.targets, users.genres)
+        assert samples.inputs.dtype == samples.targets.dtype == np.uint8
 
 
 class TestGenerateSynthetic:

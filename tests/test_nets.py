@@ -600,6 +600,29 @@ class TestTrainExactness:
                 assert np.array_equal(lone.params.weights[key].view(np.uint64), ref.view(np.uint64))
             assert result.losses == lone.losses == tuple(ref_losses)
 
+    @pytest.mark.parametrize("cell", list(CellKind))
+    @pytest.mark.parametrize("models", [1, 2])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_uint8_genres_match_float64(self, cell, models, strided):
+        # GenreOnly data: 0/1 genre windows as uint8 and as float64.  Strided
+        # sources are views of one (n, 5, 19) table, as genre_samples gives;
+        # contiguous ones are copies, as a trimmed set is.
+        def genre_only(seed, dtype):
+            table = (np.random.default_rng(seed).uniform(size=(45, 5, D)) < 0.3).astype(dtype)
+            inputs, targets = table[:, :4], table[:, 4]
+            if not strided:
+                inputs, targets = inputs.copy(), targets.copy()
+            assert inputs.flags.c_contiguous is not strided
+            return Dataset(inputs, targets)
+
+        configs = [replace(PINNED_CONFIG, seed=11 + m) for m in range(models)]
+        one_byte = train([genre_only(7 + m, np.uint8) for m in range(models)], cell, configs)
+        floats = train([genre_only(7 + m, np.float64) for m in range(models)], cell, configs)
+        for got, expected in zip(one_byte, floats):
+            for key, ref in expected.params.weights.items():
+                assert same_bits(got.params.weights[key], ref)
+            assert got.losses == expected.losses
+
     @requires_pinned_build
     @pytest.mark.parametrize("cell", list(CellKind))
     def test_pinned_weights_in_a_stack(self, cell):
@@ -629,6 +652,16 @@ class TestPredict:
         params = init_params(cell, 38, 32, seed=63)
         x = np.random.default_rng(63).uniform(0, 1, (rows, 4, 38))
         assert same_bits(predict(params, x), forward_sequence(x, params)[0])
+
+    @pytest.mark.parametrize("cell", list(CellKind))
+    def test_uint8_inputs_match_float64(self, cell):
+        # 8,252 rows run as 3 chunks, each cast on its own; the inputs are
+        # a strided view, as GenreOnly test inputs are.
+        rows = 2 * _PREDICT_ROWS + 60
+        table = (np.random.default_rng(65).uniform(size=(rows, 5, 19)) < 0.3).astype(np.uint8)
+        params = init_params(cell, 19, 32, seed=65)
+        expected = predict(params, table.astype(np.float64)[:, :4])
+        assert same_bits(predict(params, table[:, :4]), expected)
 
     def test_one_sample_and_empty_set(self):
         params = random_params(CellKind.LSTM, seed=64)

@@ -6,6 +6,7 @@ from genreseq.evaluation import apply_trim_to_dataset
 from genreseq.genres import GENRES, genre_index
 from genreseq.ingest import SyntheticSpec, generate_synthetic
 from genreseq.transitions import (
+    _COUNT_ROWS,
     Dataset,
     FeatureMode,
     TransitionModel,
@@ -19,7 +20,14 @@ from genreseq.transitions import (
     write_probability_csv,
 )
 
-from .helpers import make_sequence, random_users, stack_users, transition_counts_oracle, users_from
+from .helpers import (
+    make_sequence,
+    random_genres,
+    random_users,
+    stack_users,
+    transition_counts_oracle,
+    users_from,
+)
 
 A = genre_index("Action")
 C = genre_index("Comedy")
@@ -57,6 +65,19 @@ class TestCountTransitions:
         rng = np.random.default_rng(21)
         users = random_users(rng, 100)
         assert np.array_equal(count_transitions(users), transition_counts_oracle(users))
+
+    def test_row_blocks_match_float64_table(self):
+        # Three float32 row blocks, the last one short, against the whole
+        # float64 table's per-step GEMMs and an integer sum.
+        genres = random_genres(np.random.default_rng(22), 2 * _COUNT_ROWS + 37)
+        users = users_from(genres)
+        assert users.genres.dtype == np.uint8
+        table = genres.astype(np.float64)
+        expected = sum(table[:, t - 1].T @ table[:, t] for t in range(1, 5)).astype(np.int64)
+        exact = np.einsum("nti,ntj->ij", genres[:, :-1].astype(np.int64), genres[:, 1:].astype(np.int64))
+        counts = count_transitions(users)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected) and np.array_equal(counts, exact)
 
 
 class TestNormalizeTransitions:
@@ -201,6 +222,22 @@ class TestBuildDataset:
                     for t in range(4):
                         expected = combine(steps[t], atv(steps[t], probs), mode)
                         assert np.array_equal(ds.inputs[i, t], expected)
+
+    def test_featurize_uint8_matches_float64(self):
+        # genre_samples gives strided uint8 views; the same values as a
+        # float64 table give the same bits in every mode.
+        rng = np.random.default_rng(30)
+        probs = normalize_transitions(rng.integers(0, 9, size=(19, 19)).astype(float))
+        samples = genre_samples(random_users(rng, 120, max_genres=6))
+        assert samples.inputs.dtype == np.uint8
+        table = Dataset(samples.inputs.astype(np.float64), samples.targets.astype(np.float64))
+        for mode in FeatureMode:
+            got, expected = featurize(samples, probs, mode), featurize(table, probs, mode)
+            assert np.array_equal(got.inputs, expected.inputs)
+            if mode is not FeatureMode.GENRE_ONLY:
+                assert got.inputs.dtype == np.float64
+                assert np.array_equal(got.inputs.view(np.uint64), expected.inputs.view(np.uint64))
+            assert np.array_equal(got.targets, expected.targets)
 
     def test_featurize_no_samples(self):
         probs = np.full((19, 19), 1.0 / 19)
