@@ -47,3 +47,11 @@ class EmptyDataset(GenreSeqError):
 
 class LengthMismatch(GenreSeqError):
     """Prediction and target collections of different sizes."""
+
+
+class NonFinitePrediction(GenreSeqError):
+    """Predictions holding NaN or infinite values; carries how many."""
+
+    def __init__(self, count: int, total: int):
+        super().__init__(f"{count} of {total} predictions are not finite")
+        self.count = count

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import LengthMismatch, NonFinitePrediction
 from .genres import N_GENRES
 from .ingest import SEQUENCE_LENGTH, Users
 from .transitions import Dataset
@@ -67,12 +67,16 @@ def confusion_counts(
     """Pool per-(sample, genre) decisions into one confusion quadruple.
 
     Targets of any real dtype (the pipeline's are uint8) are compared as
-    they are, without a float copy.
+    they are, without a float copy.  A NaN or infinite prediction raises
+    :class:`NonFinitePrediction` rather than counting as a "no".
     """
     preds = np.asarray(predictions, dtype=np.float64)
     targs = np.asarray(targets)
     if preds.shape != targs.shape:
         raise LengthMismatch(f"predictions {preds.shape} vs targets {targs.shape}")
+    finite = np.count_nonzero(np.isfinite(preds))
+    if finite != preds.size:
+        raise NonFinitePrediction(preds.size - finite, preds.size)
     yes = preds > threshold
     actual = targs > 0.5
     tp = int(np.sum(yes & actual))

@@ -1,12 +1,8 @@
 """From-scratch recurrent cells (RNN, LSTM, GRU) with exact backprop.
 
-Cells step over a 4-step feature sequence and feed a per-genre sigmoid
-output head trained with mean binary cross-entropy, so each genre gets an
-independent yes/no probability.  All gradients are derived analytically
-and unrolled through time; the test suite checks every one of them
-against central finite differences.
-
-Update rules:
+Cells step over a 4-step feature sequence into a per-genre sigmoid head
+trained with mean binary cross-entropy.  Gradients are analytic and
+unrolled through time; the tests check each against finite differences.
 
     RNN    h_t = tanh(U x_t + W h_{t-1} + b)
     LSTM   f_t = sig(W_f [h_{t-1}, x_t] + b_f)
@@ -19,50 +15,41 @@ Update rules:
            r_t = sig(W_r [h_{t-1}, x_t])
            hb_t = tanh(W [r_t * h_{t-1}, x_t])
            h_t = (1 - z_t) * h_{t-1} + z_t * hb_t
-
     head   y = sig(V h_T + b_out)
 
-``*`` is the element-wise product and ``[a, b]`` concatenation with the
-hidden part first.
+``*`` is the element-wise product, ``[a, b]`` concatenation (h first).
 
-The gated cells compute a step's gates as one block.  The LSTM's four
-gate GEMMs write into one (..., 4, B, h) array in the order f, i, o, g,
-which takes one bias add (from a bias block built once per call), one
-sigmoid over f, i, o and one tanh over g; the GRU's z and r are one
-(..., 2, B, h) block with one sigmoid.  Each GEMM keeps the operands and
-shape of its own gate, and each element the same expression, so the
-blocks move no bit.  ``forward_sequence`` gives the gated cells one
-``[h, x]`` buffer ``zs`` of (T + 1, ..., B, h + d), with every input step
-copied in once: the step over ``xs[t]`` reads ``zs[t]`` as its
-``[h_prev, x]`` and writes its new h straight into ``zs[t + 1, ..., :h]``,
-so no step concatenates, and the cached hidden states are the view
-``zs[..., :h]``.
+:func:`forward_sequence` and :func:`backward` are the cell API (one step
+is a 1-step sequence); the per-cell kernels are private to them.  The
+gated cells read each step's ``[h_{t-1}, x_t]`` from one buffer ``zs`` of
+(T + 1, ..., B, h + d) and write h_t into it.  A step's gates are one
+block: the LSTM's (..., 4, B, h) in the order f, i, o, g, with one bias
+add, one sigmoid and one tanh; the GRU's z, r (..., 2, B, h) with one
+sigmoid.  Each gate's GEMM runs NN on a contiguous copy of its matrix's
+transpose, made once per call, and ``backward`` multiplies ``dz`` by
+contiguous copies of only the first h columns, the only ones ``dh``
+reads.  These forms sum in another order than NT and full-width GEMMs,
+so LSTM and GRU weights may differ from theirs in the last bits; every
+pinned report byte stays.  A fused all-gate GEMM and a batch-major gate
+block were measured slower.  The RNN computes U x_t for all T steps as
+one batched matmul: one GEMM per (step, model) on a per-step call's
+operands, so the same bits.
 
-:func:`forward_sequence` and :func:`backward` are the cell API: one step
-is a 1-step sequence.  The per-cell kernels (``_rnn_cell``, ``_lstm_cell``,
-``_gru_cell``) are private to ``forward_sequence``, so they may be fused
-or restructured as long as the sequence results and gradients hold.
-
-Every sequence starts from h_0 = 0 and no gradient flows back past
-t = 0, so some t = 0 work is skipped as dead: the RNN's ``W h_0`` GEMM
-and its add in the forward pass; in the backward pass the gradient
-terms that are zero because they read h_0 (the RNN's ``W`` term, and
-the GRU's ``W_r`` term through dr = dacat * h_0) and every GEMM that
-only passes a gradient back to h_0 (the RNN's ``dh``, the LSTM's four
-``dz @ W_*``, the GRU's ``da @ W`` and two ``dh_prev`` GEMMs).  The
-gated cells' forward GEMMs still read the zero h_0 columns: dropping
-them would change the GEMM operands and so the rounding.
+Every sequence starts from h_0 = 0 and no gradient flows back past t = 0,
+so dead t = 0 work is skipped: the RNN's ``W h_0`` GEMM, the backward
+terms that read h_0 (the RNN's ``W`` term, the GRU's ``W_r`` term) and
+every GEMM that only passes a gradient to h_0.  The gated forward GEMMs
+still read the zero h_0 columns: dropping them would change the operands
+and so the rounding.
 
 The kernels (``forward_sequence``, ``backward``, ``bce_loss``) take an
 optional leading model axis: when every weight of a :class:`NetParams`
-carries one extra leading axis of length M, the params are a stack of M
-models that share a cell and its dimensions.  Inputs are then
-(M, B, T, d) and targets (M, B, o), row m holding model m's batch; every
-GEMM is a batched ``np.matmul`` over that axis (one BLAS call per model,
-as a lone model gets), reductions run over each model's own rows, and
-``bce_loss`` returns one mean per model.  Each model's numbers are bit
-for bit those of a lone call.  :func:`train` steps a stack of M fits with
-one call of each kernel per step; a lone fit is a stack of one.
+has one extra leading axis of length M, the params are a stack of M
+models of one cell and shape.  Inputs are then (M, B, T, d) and targets
+(M, B, o); every GEMM is a batched ``np.matmul`` (one BLAS call per
+model), reductions run over each model's rows, and ``bce_loss`` returns
+one mean per model, each bit for bit a lone call's.  :func:`train` steps
+a stack of M fits with one call of each kernel per step.
 """
 
 from __future__ import annotations
@@ -193,21 +180,32 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _rnn_cell(x_t: np.ndarray, h_prev: np.ndarray | None, w: dict, out: np.ndarray) -> None:
-    """RNN update on (..., B, d) / (..., B, h) arrays: h_t into ``out``.
+def _rnn_cell(h_prev: np.ndarray | None, w: dict, out: np.ndarray) -> None:
+    """RNN update on (..., B, h) arrays: ``out`` holds U x_t on entry, h_t on return.
 
     ``h_prev`` None is the zero initial state, so its ``W`` GEMM is skipped.
     """
-    a = x_t @ w["U"].swapaxes(-1, -2)
     if h_prev is not None:
-        a += h_prev @ w["W"].swapaxes(-1, -2)
-    a += w["b"]
-    np.tanh(a, out=out)
+        out += h_prev @ w["W"].swapaxes(-1, -2)
+    out += w["b"]
+    np.tanh(out, out=out)
 
 
 # The LSTM gate block's order: the three sigmoid gates, then the candidate
 # g, whose weights are W_c and b_c.
 _LSTM_GATES = ("f", "i", "o", "c")
+_LSTM_MATRICES = tuple(f"W_{g}" for g in _LSTM_GATES)
+_GRU_MATRICES = ("W_z", "W_r", "W")
+
+
+def _transposed(w: dict, names: Sequence[str]) -> list[np.ndarray]:
+    """Contiguous copies of the named matrices' transposes, for NN GEMMs."""
+    return [np.ascontiguousarray(w[name].swapaxes(-1, -2)) for name in names]
+
+
+def _hidden_columns(w: dict, names: Sequence[str]) -> list[np.ndarray]:
+    """Contiguous copies of the named (..., h, h + d) matrices' first h columns."""
+    return [np.ascontiguousarray(w[name][..., : w[name].shape[-2]]) for name in names]
 
 
 def _gate_bias(w: dict, batch: int) -> np.ndarray:
@@ -216,16 +214,16 @@ def _gate_bias(w: dict, batch: int) -> np.ndarray:
 
 
 def _lstm_cell(
-    zcat: np.ndarray, c_prev: np.ndarray, w: dict, bias: np.ndarray, out: np.ndarray
+    zcat: np.ndarray, c_prev: np.ndarray, wt: Sequence[np.ndarray], bias: np.ndarray, out: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
     """LSTM update on ``zcat`` = [h_{t-1}, x_t]: h_t into ``out``.
 
-    Returns c_t and ``(zcat, c_prev, a, tanh_c)``, where ``a`` is the
-    (..., 4, B, h) gate block f, i, o, g and ``bias`` its bias block.
+    ``wt`` holds the gate matrices' transposes in gate-block order.  Returns
+    c_t and ``(zcat, c_prev, a, tanh_c)``, ``a`` the gate block f, i, o, g.
     """
     a = np.empty_like(bias)
-    for k, g in enumerate(_LSTM_GATES):
-        np.matmul(zcat, w[f"W_{g}"].swapaxes(-1, -2), out=a[..., k, :, :])
+    for k, m in enumerate(wt):
+        np.matmul(zcat, m, out=a[..., k, :, :])
     a += bias
     _sigmoid(a[..., :3, :, :], out=a[..., :3, :, :])
     np.tanh(a[..., 3, :, :], out=a[..., 3, :, :])
@@ -237,22 +235,22 @@ def _lstm_cell(
     return c, (zcat, c_prev, a, tanh_c)
 
 
-def _gru_cell(zcat: np.ndarray, w: dict, out: np.ndarray) -> tuple:
+def _gru_cell(zcat: np.ndarray, wt: Sequence[np.ndarray], out: np.ndarray) -> tuple:
     """GRU update on ``zcat`` = [h_{t-1}, x_t]: h_t into ``out``.
 
-    Returns ``(zcat, acat, a, hbar)``, where ``a`` is the (..., 2, B, h)
-    gate block z, r and ``acat`` = [r * h_{t-1}, x_t].
+    ``wt`` holds the transposes of W_z, W_r and W.  Returns ``(zcat, acat,
+    a, hbar)``, ``a`` the gate block z, r and ``acat`` = [r * h_{t-1}, x_t].
     """
     hidden = out.shape[-1]
     h_prev = zcat[..., :hidden]
     a = np.empty((*out.shape[:-2], 2, *out.shape[-2:]))
-    np.matmul(zcat, w["W_z"].swapaxes(-1, -2), out=a[..., 0, :, :])
-    np.matmul(zcat, w["W_r"].swapaxes(-1, -2), out=a[..., 1, :, :])
+    np.matmul(zcat, wt[0], out=a[..., 0, :, :])
+    np.matmul(zcat, wt[1], out=a[..., 1, :, :])
     _sigmoid(a, out=a)
     z, r = a[..., 0, :, :], a[..., 1, :, :]
     acat = zcat.copy()
     np.multiply(r, h_prev, out=acat[..., :hidden])
-    hbar = acat @ w["W"].swapaxes(-1, -2)
+    hbar = acat @ wt[2]
     np.tanh(hbar, out=hbar)
     np.add((1.0 - z) * h_prev, z * hbar, out=out)
     return zcat, acat, a, hbar
@@ -282,16 +280,16 @@ def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray,
     w = params.weights
     hidden = params.hidden_dim
     xs = x.transpose(-2, *range(x.ndim - 2), -1)  # xs[t] is x_t
-    # hs[0] is h_0 = 0 and hs[t + 1] receives h_t.  The cells add each bias
-    # once per step, so it is copied out to (B, h) rows once per call: a
-    # same-shape add costs about half of a (h,) broadcast add, and the sums
-    # are the same.  b_out is added once per call, so it stays as it is.
+    # hs[0] is h_0 = 0 and hs[t + 1] receives h_t.  Each bias added per step
+    # is copied out to (B, h) rows once per call: a same-shape add costs
+    # about half of a broadcast add, with the same sums.
     if params.cell is CellKind.RNN:
         # h_0 is handed over as None, so the RNN skips its GEMM.
         hs = np.zeros((steps + 1, *stack, batch, hidden))
+        np.matmul(xs, w["U"].swapaxes(-1, -2), out=hs[1:])
         w = {**w, "b": _rows(w["b"], batch)}
-        for t, x_t in enumerate(xs):
-            _rnn_cell(x_t, hs[t] if t else None, w, hs[t + 1])
+        for t in range(steps):
+            _rnn_cell(hs[t] if t else None, w, hs[t + 1])
         acts = []
     else:
         # zs[t] is [hs[t], xs[t]]; the gate GEMMs read the zeros of h_0.
@@ -299,14 +297,16 @@ def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray,
         zs[:-1, ..., hidden:] = xs
         hs = zs[..., :hidden]
         if params.cell is CellKind.LSTM:
+            wt = _transposed(w, _LSTM_MATRICES)
             bias = _gate_bias(w, batch)
             c = hs[0]
             acts = []
             for t in range(steps):
-                c, a = _lstm_cell(zs[t], c, w, bias, hs[t + 1])
+                c, a = _lstm_cell(zs[t], c, wt, bias, hs[t + 1])
                 acts.append(a)
         else:
-            acts = [_gru_cell(zs[t], w, hs[t + 1]) for t in range(steps)]
+            wt = _transposed(w, _GRU_MATRICES)
+            acts = [_gru_cell(zs[t], wt, hs[t + 1]) for t in range(steps)]
 
     z = hs[-1] @ w["V"].swapaxes(-1, -2)
     z += w["b_out"][..., None, :]
@@ -397,12 +397,10 @@ def backward(
     np.add.reduce(dz_out, axis=-2, out=grads["b_out"])
     dh = dz_out @ w["V"]
 
-    # Each loop walks t down and skips the t = 0 work named in the module
-    # docstring.  The RNN keeps every step's dz, since only dh carries its
-    # recursion, and sums its weight and bias terms after the loop.  The
-    # gated cells write each term into the gradient at the last step and
-    # add it at the others: stacking their per-step arrays as well made
-    # them no faster and raised peak memory at large batches.
+    # Each loop walks t down, skipping the dead t = 0 work.  The RNN keeps
+    # every step's dz and sums its weight terms after the loop; the gated
+    # cells add each term as they go (stacking them was no faster and
+    # raised peak memory at large batches).
     if params.cell is CellKind.RNN:
         dz = np.square(hs[1:])
         np.subtract(1.0, dz, out=dz)  # 1 - h_t^2, then dz_t in place
@@ -414,6 +412,7 @@ def backward(
         _sum_steps(grads["W"], dz[1:], hs[1:-1])
         _sum_steps(grads["b"], dz)
     elif params.cell is CellKind.LSTM:
+        wh = _hidden_columns(w, _LSTM_MATRICES)
         dc_next = np.zeros_like(dh)
         db = np.empty((*params.stack, 4, hidden))  # the bias gradients, gate-block order
         for t in range(steps - 1, -1, -1):
@@ -438,14 +437,14 @@ def backward(
                 _add_step(grads[f"W_{name}"], first, dz[..., k, :, :], zcat)
             _add_step(db, first, dz)
             if t:
-                dzcat = dz[..., 0, :, :] @ w["W_f"]
+                dh = dz[..., 0, :, :] @ wh[0]
                 for k in range(1, 4):
-                    dzcat += dz[..., k, :, :] @ w[f"W_{_LSTM_GATES[k]}"]
-                dh = dzcat[..., :hidden]
+                    dh += dz[..., k, :, :] @ wh[k]
                 dc_next = dc * f
         for k, name in enumerate(_LSTM_GATES):
             grads[f"b_{name}"][...] = db[..., k, :]
     else:
+        wh_z, wh_r, wh = _hidden_columns(w, _GRU_MATRICES)
         for t in range(steps - 1, -1, -1):
             first = t == steps - 1
             zcat, acat, a, hbar = acts[t]
@@ -459,12 +458,12 @@ def backward(
             _add_step(grads["W_z"], first, dzz, zcat)
             if t:
                 dh_prev = dh * (1.0 - z)
-                dacat = da @ w["W"]
-                dr = dacat[..., :hidden] * h_prev
-                dh_prev += dacat[..., :hidden] * r
+                dah = da @ wh
+                dr = dah * h_prev
+                dh_prev += dah * r
                 dzr = dr * r * (1.0 - r)
                 _add_step(grads["W_r"], first, dzr, zcat)
-                dh_prev += (dzz @ w["W_z"])[..., :hidden] + (dzr @ w["W_r"])[..., :hidden]
+                dh_prev += dzz @ wh_z + dzr @ wh_r
                 dh = dh_prev
         if steps == 1:
             grads["W_r"][...] = 0.0  # h_0 = 0 leaves W_r no term
@@ -472,10 +471,9 @@ def backward(
 
 
 # predict runs a large set as near-equal chunks of at most this many rows,
-# so that no activation cache grows with the set.  Rows are independent,
-# but OpenBLAS takes another kernel for a GEMM of a few rows (fewer than
-# 64 moved bits on the pinned build), so the chunks are balanced rather
-# than leaving a short tail.
+# so no activation cache grows with the set.  OpenBLAS takes another kernel
+# for a GEMM of fewer than 64 rows, which moves bits, so no chunk is a
+# short tail.
 _PREDICT_ROWS = 4096
 
 
@@ -491,6 +489,10 @@ def predict(params: NetParams, inputs: np.ndarray) -> np.ndarray:
         return forward_sequence(x, params)[0]
     parts = np.array_split(x, chunks, axis=-3)
     return np.concatenate([forward_sequence(part, params)[0] for part in parts], axis=-2)
+
+
+# train gathers each epoch in blocks of about this many rows per model.
+_GATHER_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -529,14 +531,7 @@ def train(
         raise EmptyDataset("no training samples")
     rngs = [np.random.default_rng(c.seed) for c in configs]
     inits = [
-        init_params(
-            cell,
-            input_dim=in_shape[-1],
-            hidden_dim=config.hidden_dim,
-            output_dim=out_shape[0],
-            init_scale=config.init_scale,
-            rng=rng,
-        ).weights
+        init_params(cell, in_shape[-1], config.hidden_dim, out_shape[0], config.init_scale, rng=rng).weights
         for rng in rngs
     ]
     # Parameters, gradient and velocity each live in one (M, P) buffer, a
@@ -548,24 +543,32 @@ def train(
     grad = np.empty_like(flat)
     grads = _views(grad, inits[0])
     velocity = np.zeros_like(flat)
+    # Each epoch is gathered a block of whole batches at a time (one
+    # _take_rows per dataset per block); each batch is a view into it.
+    batch = config.batch_size
+    block = max(1, _GATHER_ROWS // batch) * batch
+    xblock = np.empty((len(datasets), min(block, n), *in_shape))
+    tblock = np.empty((len(datasets), min(block, n), *out_shape))
     losses: list[np.ndarray] = []
     for _ in range(config.epochs):
         orders = [rng.permutation(n) for rng in rngs]
         total = np.zeros(len(rngs))
-        for start in range(0, n, config.batch_size):
-            idx = [order[start : start + config.batch_size] for order in orders]
-            xb = np.empty((len(idx), idx[0].size, *in_shape))
-            tb = np.empty((len(idx), idx[0].size, *out_shape))
+        for first in range(0, n, block):
+            rows = min(block, n - first)
             for m, d in enumerate(datasets):
-                _take_rows(d.inputs, idx[m], xb[m])
-                _take_rows(d.targets, idx[m], tb[m])
-            yb, cache = forward_sequence(xb, stack)
-            total += bce_loss(yb, tb) * idx[0].size
-            backward(cache, tb, stack, out=grads)
-            velocity *= config.momentum
-            grad *= config.learning_rate
-            velocity -= grad
-            flat += velocity
+                idx = orders[m][first : first + rows]
+                _take_rows(d.inputs, idx, xblock[m, :rows])
+                _take_rows(d.targets, idx, tblock[m, :rows])
+            for start in range(0, rows, batch):
+                stop = min(start + batch, rows)
+                yb, cache = forward_sequence(xblock[:, start:stop], stack)
+                tb = tblock[:, start:stop]
+                total += bce_loss(yb, tb) * (stop - start)
+                backward(cache, tb, stack, out=grads)
+                velocity *= config.momentum
+                grad *= config.learning_rate
+                velocity -= grad
+                flat += velocity
         losses.append(total / n)
     return [
         TrainResult(

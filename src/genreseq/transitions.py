@@ -131,36 +131,49 @@ def genre_samples(users: Users) -> Dataset:
     return Dataset(users.genres[:, :4], users.genres[:, 4])
 
 
+# featurize casts this many samples' steps to float64 at a time (a 0.6 MB
+# block); casting the whole set at once raised a run's peak memory.
+_FEATURIZE_ROWS = 1024
+
+
 def featurize(samples: Dataset, probs: np.ndarray, mode: FeatureMode) -> Dataset:
     """Attach each input movie's ATV to raw samples and combine per ``mode``.
 
-    Bit-identical to :func:`atv` + :func:`combine` per step: each ATV adds
-    its support rows in genre order onto 0.0 and divides by the support
-    size, the same arithmetic as ``probs[sup].mean(axis=0)``.  (A matmul
-    ``steps @ probs`` sums in a different order and is off by ~1e-17.)
-    The 0/1 steps, uint8 or float, enter the float64 inputs as the same
-    values.  ``GenreOnly`` returns ``samples`` itself, not a copy.
+    The ATVs are ``support @ probs / |support|``: each block of at most
+    :data:`_FEATURIZE_ROWS` samples casts its genre support into one
+    float64 buffer and takes one GEMM over all of its steps.  The GEMM sums
+    the support rows in another order than :func:`atv`'s mean, so an ATV
+    may differ from it in the last bit.  The 0/1 steps, uint8 or float,
+    enter the float64 inputs as the same values.  ``GenreOnly`` returns
+    ``samples`` itself, not a copy.
     """
     steps = samples.inputs
-    support = steps != 0
-    sizes = support.sum(axis=2)
-    if not sizes.all():
-        raise EmptyGenreSupport("no genres set; transition vector undefined")
-    if mode is FeatureMode.GENRE_ONLY:
-        return samples
-
-    inputs = np.zeros((len(samples), 4, feature_dim(mode)))
-    out = inputs[:, :, N_GENRES:] if mode is FeatureMode.CONCAT else inputs
-    for g in range(N_GENRES):
-        np.add(out, probs[g], out=out, where=support[:, :, g, None])
-    out /= sizes[:, :, None]
-    if mode is FeatureMode.SUM:
-        out += steps
-    elif mode is FeatureMode.PRODUCT:
-        out *= steps
-    else:
-        inputs[:, :, :N_GENRES] = steps
-    return Dataset(inputs, samples.targets)
+    n = len(samples)
+    dim = feature_dim(mode)
+    support_rows = np.empty((4 * min(n, _FEATURIZE_ROWS), N_GENRES))
+    sizes_rows = np.empty(len(support_rows))
+    inputs = None if mode is FeatureMode.GENRE_ONLY else np.empty((n, 4, dim))
+    for first in range(0, n, _FEATURIZE_ROWS):
+        block = steps[first : first + _FEATURIZE_ROWS]
+        # Contiguous slabs, so each reshape is a view: (b, 4, .) <-> (4b, .).
+        support = support_rows[: 4 * len(block)]
+        np.not_equal(block, 0, out=support.reshape(block.shape))
+        sizes = np.add.reduce(support, axis=1, out=sizes_rows[: len(support)])
+        if not sizes.all():
+            raise EmptyGenreSupport("no genres set; transition vector undefined")
+        if inputs is None:
+            continue
+        out = inputs[first : first + len(block)]
+        atvs = out.reshape(-1, dim)[:, dim - N_GENRES :]
+        np.matmul(support, probs, out=atvs)
+        atvs /= sizes[:, None]
+        if mode is FeatureMode.SUM:
+            out += block
+        elif mode is FeatureMode.PRODUCT:
+            out *= block
+        elif mode is FeatureMode.CONCAT:
+            out[:, :, :N_GENRES] = block
+    return samples if inputs is None else Dataset(inputs, samples.targets)
 
 
 def write_probability_csv(probs: np.ndarray, path: str | Path) -> None:

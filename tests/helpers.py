@@ -168,7 +168,9 @@ def bce_oracle(y, target):
 #
 # The LSTM and GRU kernels as they were before their gates became blocks:
 # one GEMM, bias add and activation per gate, and a concatenated [h, x]
-# per step.  The block kernels in genreseq.nets must give the same bits.
+# per step, each GEMM in its original operand form.  The block kernels in
+# genreseq.nets run their GEMMs in other forms, which sum in another order,
+# so they must match these within float64 rounding.
 
 
 def _frozen_sigmoid(x):
@@ -296,6 +298,152 @@ def frozen_gated_backward(y, cache, target, params):
                 dzr = dr * r * (1.0 - r)
                 _frozen_add_step(grads["W_r"], first, dzr, zcat)
                 dh_prev += (dzz @ w["W_z"])[..., :hidden] + (dzr @ w["W_r"])[..., :hidden]
+                dh = dh_prev
+        if steps == 1:
+            grads["W_r"][...] = 0.0
+    return grads
+
+
+def frozen_rnn_forward(x, params):
+    """(y, cache) of the RNN forward as a per-step loop: U x_t is one call per step.
+
+    The cache is the one genreseq.nets.backward reads.
+    """
+    stack = params.stack
+    batch, steps = x.shape[-3:-1]
+    w = params.weights
+    b = _frozen_rows(w["b"], batch)
+    hs = np.zeros((steps + 1, *stack, batch, params.hidden_dim))
+    xs = x.transpose(-2, *range(x.ndim - 2), -1)
+    for t, x_t in enumerate(xs):
+        a = x_t @ w["U"].swapaxes(-1, -2)
+        if t:
+            a += hs[t] @ w["W"].swapaxes(-1, -2)
+        a += b
+        np.tanh(a, out=hs[t + 1])
+    z = hs[-1] @ w["V"].swapaxes(-1, -2)
+    z += w["b_out"][..., None, :]
+    y = _frozen_sigmoid(z)
+    return y, {"xs": xs, "h": hs, "y": y, "acts": []}
+
+
+# ---------------------------------------------------------------------------
+# per-gate gated cells on the kernels' GEMM forms
+#
+# The frozen per-gate cells above with the operand forms genreseq.nets
+# uses: each forward GEMM is ``zcat @ Wt`` on a contiguous transposed copy
+# Wt of its gate matrix (NN), and each backward ``dh`` GEMM multiplies only
+# the first h columns of the matrix, copied contiguous.  Every elementwise
+# expression is the frozen one, so the block kernels must give these bits.
+
+
+def _nn(w, name):
+    return np.ascontiguousarray(w[name].swapaxes(-1, -2))
+
+
+def _hidden_cols(w, name):
+    return np.ascontiguousarray(w[name][..., : w[name].shape[-2]])
+
+
+def _pergate_lstm_cell(x_t, state, w, out):
+    h_prev, c_prev = state
+    zcat = np.concatenate([h_prev, x_t], axis=-1)
+    f = _frozen_sigmoid(zcat @ _nn(w, "W_f") + w["b_f"])
+    i = _frozen_sigmoid(zcat @ _nn(w, "W_i") + w["b_i"])
+    g = np.tanh(zcat @ _nn(w, "W_c") + w["b_c"])
+    c = f * c_prev + i * g
+    o = _frozen_sigmoid(zcat @ _nn(w, "W_o") + w["b_o"])
+    tanh_c = np.tanh(c)
+    return (np.multiply(o, tanh_c, out=out), c), (zcat, c_prev, f, i, g, o, tanh_c)
+
+
+def _pergate_gru_cell(x_t, state, w, out):
+    (h_prev,) = state
+    zcat = np.concatenate([h_prev, x_t], axis=-1)
+    z = _frozen_sigmoid(zcat @ _nn(w, "W_z"))
+    r = _frozen_sigmoid(zcat @ _nn(w, "W_r"))
+    acat = np.concatenate([r * h_prev, x_t], axis=-1)
+    hbar = np.tanh(acat @ _nn(w, "W"))
+    return (np.add((1.0 - z) * h_prev, z * hbar, out=out),), (zcat, acat, z, r, hbar)
+
+
+def pergate_gated_forward(x, params):
+    """:func:`frozen_gated_forward` with NN gate GEMMs."""
+    stack = params.stack
+    batch, steps = x.shape[-3:-1]
+    w = {
+        name: _frozen_rows(v, batch) if name.startswith("b") and name != "b_out" else v
+        for name, v in params.weights.items()
+    }
+    hs = np.zeros((steps + 1, *stack, batch, params.hidden_dim))
+    h0 = hs[0]
+    if params.cell is CellKind.LSTM:
+        cell, state = _pergate_lstm_cell, (h0, h0)
+    else:
+        cell, state = _pergate_gru_cell, (h0,)
+    xs = x.transpose(-2, *range(x.ndim - 2), -1)
+    acts = []
+    for t, x_t in enumerate(xs):
+        state, a = cell(x_t, state, w, hs[t + 1])
+        acts.append(a)
+    z = hs[-1] @ w["V"].swapaxes(-1, -2)
+    z += w["b_out"][..., None, :]
+    return _frozen_sigmoid(z), {"xs": xs, "h": hs, "acts": acts}
+
+
+def pergate_gated_backward(y, cache, target, params):
+    """:func:`frozen_gated_backward` with ``dh`` GEMMs on the first h columns."""
+    w = params.weights
+    grads = {k: np.empty_like(v) for k, v in w.items()}
+    steps = len(cache["xs"])
+    dz_out = (y - target) / (y.shape[-2] * y.shape[-1])
+    hs, acts = cache["h"], cache["acts"]
+    np.matmul(dz_out.swapaxes(-1, -2), hs[-1], out=grads["V"])
+    np.add.reduce(dz_out, axis=-2, out=grads["b_out"])
+    dh = dz_out @ w["V"]
+    if params.cell is CellKind.LSTM:
+        dc_next = np.zeros_like(dh)
+        for t in range(steps - 1, -1, -1):
+            first = t == steps - 1
+            zcat, c_prev, f, i, g, o, tanh_c = acts[t]
+            do = dh * tanh_c
+            dc = dc_next + dh * o * (1.0 - tanh_c**2)
+            df = dc * c_prev
+            di = dc * g
+            dg = dc * i
+            gates = (
+                ("f", df * f * (1.0 - f)),
+                ("i", di * i * (1.0 - i)),
+                ("o", do * o * (1.0 - o)),
+                ("c", dg * (1.0 - g**2)),
+            )
+            for name, dz in gates:
+                _frozen_add_step(grads[f"W_{name}"], first, dz, zcat)
+                _frozen_add_step(grads[f"b_{name}"], first, dz)
+            if t:
+                dh = gates[0][1] @ _hidden_cols(w, "W_f")
+                for name, dz in gates[1:]:
+                    dh += dz @ _hidden_cols(w, f"W_{name}")
+                dc_next = dc * f
+    else:
+        for t in range(steps - 1, -1, -1):
+            first = t == steps - 1
+            zcat, acat, z, r, hbar = acts[t]
+            h_prev = hs[t]
+            dhbar = dh * z
+            dz_gate = dh * (hbar - h_prev)
+            da = dhbar * (1.0 - hbar**2)
+            _frozen_add_step(grads["W"], first, da, acat)
+            dzz = dz_gate * z * (1.0 - z)
+            _frozen_add_step(grads["W_z"], first, dzz, zcat)
+            if t:
+                dh_prev = dh * (1.0 - z)
+                dah = da @ _hidden_cols(w, "W")
+                dr = dah * h_prev
+                dh_prev += dah * r
+                dzr = dr * r * (1.0 - r)
+                _frozen_add_step(grads["W_r"], first, dzr, zcat)
+                dh_prev += dzz @ _hidden_cols(w, "W_z") + dzr @ _hidden_cols(w, "W_r")
                 dh = dh_prev
         if steps == 1:
             grads["W_r"][...] = 0.0

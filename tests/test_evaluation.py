@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from genreseq.errors import LengthMismatch
+from genreseq.errors import GenreSeqError, LengthMismatch, NonFinitePrediction
 from genreseq.evaluation import (
     ClusterMetrics,
     ConfusionCounts,
@@ -34,6 +34,20 @@ class TestConfusionCounts:
             confusion_counts(np.zeros((3, 19)), np.zeros((4, 19)))
         with pytest.raises(LengthMismatch):
             confusion_counts(np.zeros((3, 19)), np.zeros((3, 18)))
+
+    def test_non_finite_predictions_raise(self):
+        # An all-NaN prediction set against all-positive targets used to
+        # count as 38 plain "no" answers: ConfusionCounts(tp=0, fp=0, fn=38, tn=0).
+        targets = np.ones((2, 19), dtype=np.uint8)
+        with pytest.raises(NonFinitePrediction, match="38 of 38 predictions") as caught:
+            confusion_counts(np.full((2, 19), np.nan), targets)
+        assert caught.value.count == 38
+        assert isinstance(caught.value, GenreSeqError)
+        preds = np.full((2, 19), 0.9)
+        preds[0, 3], preds[1, 0], preds[1, 5] = np.inf, -np.inf, np.nan
+        with pytest.raises(NonFinitePrediction, match="3 of 38") as caught:
+            confusion_counts(preds, targets)
+        assert caught.value.count == 3
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(61)

@@ -9,6 +9,8 @@ import pytest
 from genreseq.errors import EmptyDataset, ShapeMismatch
 from genreseq.nets import (
     _PREDICT_ROWS,
+    _GRU_MATRICES,
+    _LSTM_MATRICES,
     CellKind,
     NetParams,
     TrainConfig,
@@ -18,6 +20,7 @@ from genreseq.nets import (
     _rnn_cell,
     _sigmoid,
     _sum_steps,
+    _transposed,
     backward,
     bce_loss,
     forward_sequence,
@@ -35,9 +38,12 @@ from .helpers import (
     fd_gradients,
     frozen_gated_backward,
     frozen_gated_forward,
+    frozen_rnn_forward,
     gru_step_oracle,
     lstm_step_oracle,
     max_relative_error,
+    pergate_gated_backward,
+    pergate_gated_forward,
     requires_pinned_build,
     rnn_step_oracle,
 )
@@ -62,15 +68,16 @@ def step(cell, x, state, params):
     read h_{t-1} from their [h_{t-1}, x_t] row.
     """
     w = params.weights
-    h = np.empty((1, H))
     if cell is CellKind.RNN:
-        _rnn_cell(x[None], state[0][None], w, h)
+        h = x[None] @ w["U"].T  # the input projection the RNN kernel starts from
+        _rnn_cell(state[0][None], w, h)
         return (h[0],)
+    h = np.empty((1, H))
     zcat = np.concatenate([state[0], x])[None]
     if cell is CellKind.LSTM:
-        c, _ = _lstm_cell(zcat, state[1][None], w, _gate_bias(w, 1), h)
+        c, _ = _lstm_cell(zcat, state[1][None], _transposed(w, _LSTM_MATRICES), _gate_bias(w, 1), h)
         return h[0], c[0]
-    _gru_cell(zcat, w, h)
+    _gru_cell(zcat, _transposed(w, _GRU_MATRICES), h)
     return (h[0],)
 
 
@@ -307,8 +314,26 @@ def stacked(params_list):
     return NetParams(first.cell, first.input_dim, first.hidden_dim, first.output_dim, weights)
 
 
+# The gate-block kernels against the frozen per-gate ones, which keep the
+# GEMM forms the kernels had before.  Set from float64 rounding before the
+# test first ran: only the summation order of the gate GEMMs (at most
+# K = h + d = 70 terms) and of the backward dh GEMMs (K = h = 32) differs.
+# Reordering a K-term sum moves it by at most 2 K u times the sum of its
+# terms' magnitudes (u = 2**-53), so by at most 2 * 70 * u * 7 = 1.1e-13
+# on a preactivation here (|W| <= 0.1, |[h, x]| <= 1).  The activations
+# are 1-Lipschitz; the 4 steps, the head and the weight gradients' sums
+# over B <= 225 rows compound that by far less than the factor 100 that
+# takes it to 1e-11 of each array's largest magnitude.  A swapped gate or
+# a dropped bias moves results by about 1e-2 of it.
+FROZEN_RTOL = 1e-11
+
+
+def within_rounding(got, ref):
+    return np.all(np.abs(got - ref) <= FROZEN_RTOL * np.abs(ref).max())
+
+
 class TestGateBlocksExact:
-    """The gate-block kernels against the frozen per-gate ones, bit for bit."""
+    """The gate-block kernels against per-gate ones: bit for bit on the same GEMM forms."""
 
     @pytest.mark.parametrize("cell", [CellKind.LSTM, CellKind.GRU])
     @pytest.mark.parametrize("models", [None, 1, 2, 3])
@@ -323,14 +348,45 @@ class TestGateBlocksExact:
                 x = rng.uniform(0, 1, (*lead, batch, steps, d))
                 target = (rng.uniform(size=(*lead, batch, 19)) < 0.3).astype(float)
                 y, cache = forward_sequence(x, params)
-                ref_y, ref_cache = frozen_gated_forward(x, params)
+                grads = backward(cache, target, params)
+                case = f"d={d} T={steps}"
+                assert len(cache["h"]) == steps + 1
+                for reference, agrees in (
+                    ((pergate_gated_forward, pergate_gated_backward), same_bits),
+                    ((frozen_gated_forward, frozen_gated_backward), within_rounding),
+                ):
+                    ref_forward, ref_backward = reference
+                    ref_y, ref_cache = ref_forward(x, params)
+                    assert agrees(y, ref_y), (case, ref_forward.__name__)
+                    assert len(ref_cache["h"]) == steps + 1
+                    for h, ref_h in zip(cache["h"], ref_cache["h"]):
+                        assert agrees(h, ref_h), (case, ref_forward.__name__)
+                    ref_grads = ref_backward(ref_y, ref_cache, target, params)
+                    for key, ref in ref_grads.items():
+                        assert agrees(grads[key], ref), (case, ref_backward.__name__, key)
+
+
+class TestRnnProjection:
+    """The T-batched input projection against the per-step RNN loop, bit for bit."""
+
+    @pytest.mark.parametrize("models", [None, 1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 7, 32, 224, 225])
+    def test_matches_per_step_loop(self, models, batch):
+        rng = np.random.default_rng(66)
+        for d in (19, 38):
+            for steps in (1, 4):
+                lone = [init_params(CellKind.RNN, d, 32, seed=int(s)) for s in rng.integers(1 << 30, size=models or 1)]
+                params = stacked(lone) if models else lone[0]
+                lead = (models,) if models else ()
+                x = rng.uniform(0, 1, (*lead, batch, steps, d))
+                target = (rng.uniform(size=(*lead, batch, 19)) < 0.3).astype(float)
+                y, cache = forward_sequence(x, params)
+                ref_y, ref_cache = frozen_rnn_forward(x, params)
                 case = f"d={d} T={steps}"
                 assert same_bits(y, ref_y), case
-                assert len(cache["h"]) == len(ref_cache["h"]) == steps + 1
-                for h, ref_h in zip(cache["h"], ref_cache["h"]):
-                    assert same_bits(h, ref_h), case
+                assert same_bits(cache["h"], ref_cache["h"]), case
                 grads = backward(cache, target, params)
-                ref_grads = frozen_gated_backward(ref_y, ref_cache, target, params)
+                ref_grads = backward(ref_cache, target, params)
                 for key, ref in ref_grads.items():
                     assert same_bits(grads[key], ref), (case, key)
 
@@ -622,6 +678,26 @@ class TestTrainExactness:
             for key, ref in expected.params.weights.items():
                 assert same_bits(got.params.weights[key], ref)
             assert got.losses == expected.losses
+
+    @pytest.mark.parametrize("cell", list(CellKind))
+    @pytest.mark.parametrize("models", [1, 3])
+    def test_gather_blocks_match_per_tensor_loop(self, cell, models):
+        # 1,100 samples at batch 32 take two gather blocks, 1,024 rows and a
+        # ragged 76, whose last batch is a ragged 12.  The sources are
+        # strided uint8 views, as genre_samples gives.
+        def genre_only(seed):
+            table = (np.random.default_rng(seed).uniform(size=(1100, 5, D)) < 0.3).astype(np.uint8)
+            return Dataset(table[:, :4], table[:, 4])
+
+        datasets = [genre_only(70 + m) for m in range(models)]
+        assert not datasets[0].inputs.flags.c_contiguous
+        config = TrainConfig(epochs=2, batch_size=32, hidden_dim=H)
+        configs = [replace(config, seed=21 + m) for m in range(models)]
+        for dataset, config, result in zip(datasets, configs, train(datasets, cell, configs)):
+            ref_params, ref_losses = per_tensor_train(dataset, cell, config)
+            for key, ref in ref_params.weights.items():
+                assert same_bits(result.params.weights[key], ref), key
+            assert result.losses == tuple(ref_losses)
 
     @requires_pinned_build
     @pytest.mark.parametrize("cell", list(CellKind))

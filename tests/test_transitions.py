@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from genreseq.errors import EmptyGenreSupport
 from genreseq.evaluation import apply_trim_to_dataset
-from genreseq.genres import GENRES, genre_index
+from genreseq.genres import GENRES, N_GENRES, genre_index
 from genreseq.ingest import SyntheticSpec, generate_synthetic
 from genreseq.transitions import (
     _COUNT_ROWS,
+    _FEATURIZE_ROWS,
     Dataset,
     FeatureMode,
     TransitionModel,
@@ -204,8 +207,17 @@ class TestBuildDataset:
             for t in range(1, 4):
                 assert np.array_equal(ds.inputs[0, t], ds.inputs[0, 0])
 
+    # Set from float64 rounding before the test first ran.  An ATV entry
+    # is a mean of k <= 19 probabilities in [0, 1]: the GEMM and atv's mean
+    # each sum the k non-negative terms within 18u of the exact sum, u =
+    # 2**-53, and divide by k with one more rounding, so the two ATVs differ
+    # by at most 2 * 19u.  Sum adds a 0/1 genre, one more rounding of a
+    # value <= 2 on each side: 4u more.
+    ATV_BOUND = (2 * N_GENRES + 4) * 2.0**-53
+
     def test_featurize_matches_manual_combination(self):
-        # The vectorized featurize must reproduce atv + combine bit for bit,
+        # The vectorized featurize reproduces atv + combine within ATV_BOUND
+        # (its GEMM sums in another order), and the genre columns exactly,
         # on raw samples and on samples with trimmed genre columns.
         rng = np.random.default_rng(29)
         probs = normalize_transitions(rng.integers(0, 9, size=(19, 19)).astype(float))
@@ -221,7 +233,14 @@ class TestBuildDataset:
                     assert np.array_equal(ds.targets[i], target)
                     for t in range(4):
                         expected = combine(steps[t], atv(steps[t], probs), mode)
-                        assert np.array_equal(ds.inputs[i, t], expected)
+                        got = ds.inputs[i, t]
+                        if mode is FeatureMode.CONCAT:
+                            assert np.array_equal(got[:N_GENRES], expected[:N_GENRES])
+                            got, expected = got[N_GENRES:], expected[N_GENRES:]
+                        if mode is FeatureMode.GENRE_ONLY:
+                            assert np.array_equal(got, expected)
+                        else:
+                            assert np.abs(got - expected).max() <= self.ATV_BOUND
 
     def test_featurize_uint8_matches_float64(self):
         # genre_samples gives strided uint8 views; the same values as a
@@ -238,6 +257,28 @@ class TestBuildDataset:
                 assert got.inputs.dtype == np.float64
                 assert np.array_equal(got.inputs.view(np.uint64), expected.inputs.view(np.uint64))
             assert np.array_equal(got.targets, expected.targets)
+
+    @pytest.mark.parametrize("mode", list(FeatureMode))
+    def test_featurize_memory_is_output_plus_one_cast_block(self, mode):
+        # 8,400 samples, an acceptance-sized training set, as strided uint8
+        # views.  Beyond its output, featurize holds one cast block at a
+        # time: the float64 support of at most 1,024 samples' 4 steps and
+        # its row sums, plus numpy's buffers for one strided ufunc (three
+        # operands of getbufsize() float64 each) and 4 KiB of small objects.
+        # A whole-set cast or a whole-set support mask exceeds it.
+        assert _FEATURIZE_ROWS <= 1024
+        table = random_genres(np.random.default_rng(31), 8400)
+        samples = Dataset(table[:, :4], table[:, 4])
+        probs = normalize_transitions(np.random.default_rng(32).integers(0, 9, size=(19, 19)).astype(float))
+        block = 4 * 1024 * (N_GENRES + 1) * 8 + 3 * np.getbufsize() * 8 + 4096
+        tracemalloc.start()
+        try:
+            ds = featurize(samples, probs, mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = 0 if ds is samples else ds.inputs.nbytes
+        assert peak <= output + block
 
     def test_featurize_no_samples(self):
         probs = np.full((19, 19), 1.0 / 19)
