@@ -131,9 +131,10 @@ def genre_samples(users: Users) -> Dataset:
     return Dataset(users.genres[:, :4], users.genres[:, 4])
 
 
-# featurize casts this many samples' steps to float64 at a time (a 0.6 MB
-# block); casting the whole set at once raised a run's peak memory.
-_FEATURIZE_ROWS = 1024
+# featurize casts this many samples' steps to float64 at a time (a 156 KB
+# block).  Casting the whole set raised a run's peak memory, and 1,024-row
+# blocks still raised it by about 0.2 MB and were slower.
+_FEATURIZE_ROWS = 256
 
 
 def featurize(samples: Dataset, probs: np.ndarray, mode: FeatureMode) -> Dataset:
