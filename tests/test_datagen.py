@@ -1,37 +1,107 @@
 """The archetype generator against its scalar reference and its own spec.
 
-``write_archetype_dataset`` draws each user's events with one bounded-int
-call.  ``_reference_dataset`` keeps the scalar per-event loop it replaced
-(two RNG calls per event), so the byte comparison runs on any numpy build,
-unlike the sha256 pins in ``test_golden.py``.  ``TestNumpyStream`` pins the
-numpy behaviour that makes the two equal; if a numpy upgrade breaks it,
-those tests name the broken equivalence.
+``write_archetype_dataset`` keys buckets by integer id and draws each
+user's events with one bounded-int call.  ``_reference_dataset`` keeps the
+generator it replaced: string-keyed buckets and the scalar per-event loop
+(two RNG calls per event), in private copies that share no function with
+the code under test.  So the byte comparison runs on any numpy build,
+unlike the sha256 pins in ``test_golden.py``.  ``TestNumpyStream`` pins
+the numpy behaviour that makes the two equal; if a numpy upgrade breaks
+it, those tests name the broken equivalence.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
+import tracemalloc
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from genreseq import datagen
 from genreseq.datagen import (
-    N_ARCHETYPES,
     _CLASSICS_RATINGS,
+    _DIFFUSE_MIDS,
+    _DIFFUSE_POOL_SIZE,
+    _DIFFUSE_RARES,
     _DIFFUSE_RATINGS,
+    _MID_SLOTS,
+    _POOL_ONE,
+    _POOL_TWO,
+    _RARE_SLOTS,
     _SHARP_RATINGS,
     _TWIN_HI_RATINGS,
     _TWIN_LO_RATINGS,
-    _catalog_specs,
-    _diffuse_buckets,
-    _patterned_buckets,
-    _title,
-    _twin_buckets,
+    N_ARCHETYPES,
     write_archetype_dataset,
 )
 from genreseq.errors import InvalidSpec
 from genreseq.ingest import NO_GENRES_TOKEN, build_sequences, load_movies, load_ratings
+
+
+def _title(movie_id):
+    if movie_id % 13 == 0:
+        return f"Feature, The (Part {movie_id}) (2020)"
+    return f"Synthetic Feature #{movie_id} (2020)"
+
+
+def _build_diffuse_sets(rng):
+    anchors = [("Adventure", "Fantasy")] * 175 + [("Adventure",)] * 135 + [("Fantasy",)] * 115 + [()] * 75
+    rng.shuffle(anchors)
+    slots = []
+    for genre in _DIFFUSE_MIDS:
+        slots.extend([genre] * _MID_SLOTS)
+    for genre in _DIFFUSE_RARES:
+        slots.extend([genre] * _RARE_SLOTS)
+    slots_arr = np.array(slots)
+    rng.shuffle(slots_arr)
+    return [
+        tuple(sorted(set(anchors[i]) | {str(slots_arr[2 * i]), str(slots_arr[2 * i + 1])}))
+        for i in range(_DIFFUSE_POOL_SIZE)
+    ]
+
+
+def _catalog_specs(rng):
+    """(bucket key, genres, count) of every movie bucket, in movie-id order."""
+    specs = [
+        (f"{name}_t{i}", (pool[i], pool[(i + 1) % 4]), 30)
+        for name, pool in (("p1", _POOL_ONE), ("p2", _POOL_TWO))
+        for i in range(4)
+    ]
+    specs += [
+        ("sharp_base", ("Horror", "Mystery"), 30),
+        ("sharp_solo", ("Horror",), 30),
+        ("sharp_full", ("Horror", "Mystery", "Thriller"), 30),
+        ("cls_base", ("War", "Western"), 30),
+        ("cls_solo", ("War",), 30),
+        ("cls_full", ("Documentary", "War", "Western"), 30),
+    ]
+    specs += [(f"dif_{i}", g, 1) for i, g in enumerate(_build_diffuse_sets(rng))]
+    specs.append(("none", (NO_GENRES_TOKEN,), 5))
+    return specs
+
+
+def _twin_buckets(rng, pool_name, shift):
+    history = list(rng.permutation(4)) + [int(rng.integers(0, 4))]
+    if rng.random() < 0.9:
+        target = (history[4] + shift) % 4
+    else:
+        target = int(rng.integers(0, 4))
+    return [f"{pool_name}_t{int(i)}" for i in history] + [f"{pool_name}_t{target}"]
+
+
+def _patterned_buckets(rng, prefix):
+    history = [f"{prefix}_base"] * 3 + [f"{prefix}_full"] * 2
+    rng.shuffle(history)
+    target = str(rng.choice([f"{prefix}_base", f"{prefix}_solo", f"{prefix}_full"], p=[0.72, 0.12, 0.16]))
+    return history + [target]
+
+
+def _diffuse_buckets(rng):
+    return [f"dif_{i}" for i in rng.integers(0, _DIFFUSE_POOL_SIZE, size=6)]
 
 
 def _reference_dataset(out_dir, users_per_archetype, seed):
@@ -93,8 +163,9 @@ def _reference_dataset(out_dir, users_per_archetype, seed):
 
 
 # (1, 11) has one user per light twin archetype; (150, 1) has 21 genre-less
-# events; (5, 7) puts a casual user on id 50, which gets no genre-less event.
-@pytest.mark.parametrize("users_per_archetype, seed", [(1, 11), (5, 7), (20, 0), (60, 3), (150, 1)])
+# events; (5, 7) puts a casual user on id 50, which gets no genre-less event;
+# (600, 0) is the gated-concat benchmark's data.
+@pytest.mark.parametrize("users_per_archetype, seed", [(1, 11), (5, 7), (20, 0), (60, 3), (150, 1), (600, 0)])
 def test_bytes_match_scalar_reference(tmp_path, users_per_archetype, seed):
     expected = _reference_dataset(tmp_path / "ref", users_per_archetype, seed)
     got = write_archetype_dataset(tmp_path / "new", users_per_archetype, seed=seed)
@@ -107,6 +178,73 @@ def test_fewer_than_one_user_per_archetype_rejected(tmp_path, users_per_archetyp
     with pytest.raises(InvalidSpec, match="users_per_archetype"):
         write_archetype_dataset(tmp_path / "out", users_per_archetype)
     assert not (tmp_path / "out").exists()
+
+
+class _FullDisk:
+    """A text handle that writes ``room`` characters, then fails as a full disk would."""
+
+    def __init__(self, handle, room):
+        self.handle, self.room = handle, room
+
+    def write(self, text):
+        if len(text) > self.room:
+            self.handle.write(text[: self.room])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(text)
+        return self.handle.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+
+def _fill_disk_in_ratings(monkeypatch):
+    """Make ratings.csv writes stop with ENOSPC after 10,000 characters."""
+
+    def open_(path, *args, **kwargs):
+        handle = open(path, *args, **kwargs)
+        return _FullDisk(handle, 10_000) if Path(path).name.startswith("ratings") else handle
+
+    monkeypatch.setattr(datagen, "open", open_, raising=False)
+
+
+def test_interrupted_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    _fill_disk_in_ratings(monkeypatch)
+    with pytest.raises(OSError, match="No space left"):
+        write_archetype_dataset(tmp_path / "out", 20)
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_interrupted_rewrite_keeps_previous_files(tmp_path, monkeypatch):
+    paths = write_archetype_dataset(tmp_path, 5, seed=1)
+    before = [path.read_bytes() for path in paths]
+    _fill_disk_in_ratings(monkeypatch)
+    with pytest.raises(OSError, match="No space left"):
+        write_archetype_dataset(tmp_path, 20, seed=2)
+    assert [path.read_bytes() for path in paths] == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["movies.csv", "ratings.csv"]
+
+
+def test_peak_memory_is_seven_event_columns(tmp_path):
+    # One 1,500-per-archetype call: 63,285 events.  The call holds its event
+    # columns (8 bytes an event each), at most seven at once while the
+    # timestamps are built, and then one chunk of ratings.csv rows as Python
+    # objects and text, which at 4,096 rows fits in the three columns freed
+    # by then.  Measured: 3.19 MB against this bound of 3.80 MB (numpy
+    # 2.4.6).  Whole-file row lists or a whole-file string exceed it; the
+    # string-keyed generator peaked at 17.7 MB.
+    assert datagen._RATING_ROWS <= 4096
+    n = 1500
+    events = 6 * N_ARCHETYPES * n + N_ARCHETYPES * n // 50 + 3 * 25
+    tracemalloc.start()
+    try:
+        write_archetype_dataset(tmp_path, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 8 * events + 256 * 1024
 
 
 class TestNumpyStream:
