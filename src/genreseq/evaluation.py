@@ -66,11 +66,11 @@ def confusion_counts(
 ) -> ConfusionCounts:
     """Pool per-(sample, genre) decisions into one confusion quadruple.
 
-    Targets of any real dtype (the pipeline's are uint8) are compared as
-    they are, without a float copy.  A NaN or infinite prediction raises
-    :class:`NonFinitePrediction` rather than counting as a "no".
+    Predictions (float32 in the pipeline) and targets (uint8) are compared
+    in their own dtypes, where the default threshold 0.5 is exact.  A NaN
+    or infinite prediction raises :class:`NonFinitePrediction`, not a "no".
     """
-    preds = np.asarray(predictions, dtype=np.float64)
+    preds = np.asarray(predictions)
     targs = np.asarray(targets)
     if preds.shape != targs.shape:
         raise LengthMismatch(f"predictions {preds.shape} vs targets {targs.shape}")

@@ -28,12 +28,13 @@ add, one sigmoid and one tanh; the GRU's z, r (..., 2, B, h) with one
 sigmoid.  Each gate's GEMM runs NN on a contiguous copy of its matrix's
 transpose, made once per call, and ``backward`` multiplies ``dz`` by
 contiguous copies of only the first h columns, the only ones ``dh``
-reads.  These forms sum in another order than NT and full-width GEMMs,
-so LSTM and GRU weights may differ from theirs in the last bits; every
-pinned report byte stays.  A fused all-gate GEMM and a batch-major gate
-block were measured slower.  The RNN computes U x_t for all T steps as
-one batched matmul: one GEMM per (step, model) on a per-step call's
-operands, so the same bits.
+reads.  A fused all-gate GEMM and a batch-major gate block were measured
+slower.  The RNN computes U x_t for all T steps as one batched matmul:
+one GEMM per (step, model) on a per-step call's operands, so the same bits.
+
+Kernel arrays take the params' dtype.  :func:`train` runs in float32 (its
+float64 init cast once), so trained params predict in float32; float64
+params, as the finite-difference oracles use, run in float64.
 
 Every sequence starts from h_0 = 0 and no gradient flows back past t = 0,
 so dead t = 0 work is skipped: the RNN's ``W h_0`` GEMM, the backward
@@ -243,7 +244,7 @@ def _gru_cell(zcat: np.ndarray, wt: Sequence[np.ndarray], out: np.ndarray) -> tu
     """
     hidden = out.shape[-1]
     h_prev = zcat[..., :hidden]
-    a = np.empty((*out.shape[:-2], 2, *out.shape[-2:]))
+    a = np.empty((*out.shape[:-2], 2, *out.shape[-2:]), out.dtype)
     np.matmul(zcat, wt[0], out=a[..., 0, :, :])
     np.matmul(zcat, wt[1], out=a[..., 1, :, :])
     _sigmoid(a, out=a)
@@ -264,7 +265,7 @@ def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray,
     state is zero, and T must be at least 1.  Returns per-genre
     probabilities and a cache of every activation the backward pass needs.
     """
-    x = np.asarray(inputs, dtype=np.float64)
+    x = np.asarray(inputs, dtype=params.weights["V"].dtype)
     stack = params.stack
     single = not stack and x.ndim == 2
     if single:
@@ -284,8 +285,7 @@ def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray,
     # is copied out to (B, h) rows once per call: a same-shape add costs
     # about half of a broadcast add, with the same sums.
     if params.cell is CellKind.RNN:
-        # h_0 is handed over as None, so the RNN skips its GEMM.
-        hs = np.zeros((steps + 1, *stack, batch, hidden))
+        hs = np.zeros((steps + 1, *stack, batch, hidden), x.dtype)
         np.matmul(xs, w["U"].swapaxes(-1, -2), out=hs[1:])
         w = {**w, "b": _rows(w["b"], batch)}
         for t in range(steps):
@@ -293,7 +293,7 @@ def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray,
         acts = []
     else:
         # zs[t] is [hs[t], xs[t]]; the gate GEMMs read the zeros of h_0.
-        zs = np.zeros((steps + 1, *stack, batch, hidden + params.input_dim))
+        zs = np.zeros((steps + 1, *stack, batch, hidden + params.input_dim), x.dtype)
         zs[:-1, ..., hidden:] = xs
         hs = zs[..., :hidden]
         if params.cell is CellKind.LSTM:
@@ -316,9 +316,7 @@ def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray,
 
 def _rows(v: np.ndarray, n: int) -> np.ndarray:
     """``v`` (..., h) copied into each of ``n`` rows: (..., n, h)."""
-    rows = np.empty((*v.shape[:-1], n, v.shape[-1]))
-    rows[...] = v[..., None, :]
-    return rows
+    return np.repeat(v[..., None, :], n, axis=-2)
 
 
 def bce_loss(y: np.ndarray, target: np.ndarray) -> float | np.ndarray:
@@ -389,7 +387,7 @@ def backward(
     steps = len(xs)
     hidden = params.hidden_dim
     y = cache["y"]
-    target = np.asarray(target, dtype=np.float64).reshape(y.shape)
+    target = np.asarray(target, dtype=y.dtype).reshape(y.shape)
 
     dz_out = (y - target) / (y.shape[-2] * y.shape[-1])
     hs, acts = cache["h"], cache["acts"]
@@ -414,7 +412,7 @@ def backward(
     elif params.cell is CellKind.LSTM:
         wh = _hidden_columns(w, _LSTM_MATRICES)
         dc_next = np.zeros_like(dh)
-        db = np.empty((*params.stack, 4, hidden))  # the bias gradients, gate-block order
+        db = np.empty((*params.stack, 4, hidden), dh.dtype)  # the bias gradients, gate-block order
         for t in range(steps - 1, -1, -1):
             first = t == steps - 1
             zcat, c_prev, a, tanh_c = acts[t]
@@ -480,8 +478,8 @@ _PREDICT_ROWS = 4096
 def predict(params: NetParams, inputs: np.ndarray) -> np.ndarray:
     """Per-genre probabilities; each chunk's activation cache is built and dropped.
 
-    Inputs of another dtype (uint8 genres) are cast to float64 one chunk at
-    a time, inside ``forward_sequence``.
+    Inputs are cast to the params' dtype (float32 for trained params) one
+    chunk at a time, inside ``forward_sequence``.
     """
     x = np.asarray(inputs)
     chunks = -(-x.shape[-3] // _PREDICT_ROWS) if x.ndim >= 3 else 1
@@ -538,7 +536,7 @@ def train(
     # row per model (the weights dict holds views into it, and backward
     # writes into views of the gradient), so the momentum update is a few
     # whole-buffer ufuncs instead of a few per tensor.
-    flat = np.array([np.concatenate([v.ravel() for v in w.values()]) for w in inits])
+    flat = np.array([np.concatenate([v.ravel() for v in w.values()]) for w in inits], np.float32)
     stack = NetParams(cell, in_shape[-1], config.hidden_dim, out_shape[0], _views(flat, inits[0]))
     grad = np.empty_like(flat)
     grads = _views(grad, inits[0])
@@ -547,8 +545,8 @@ def train(
     # _take_rows per dataset per block); each batch is a view into it.
     batch = config.batch_size
     block = max(1, _GATHER_ROWS // batch) * batch
-    xblock = np.empty((len(datasets), min(block, n), *in_shape))
-    tblock = np.empty((len(datasets), min(block, n), *out_shape))
+    xblock = np.empty((len(datasets), min(block, n), *in_shape), np.float32)
+    tblock = np.empty((len(datasets), min(block, n), *out_shape), np.float32)
     losses: list[np.ndarray] = []
     for _ in range(config.epochs):
         orders = [rng.permutation(n) for rng in rngs]
@@ -583,8 +581,8 @@ def _take_rows(src: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
     """``out[...] = src[idx]``, written straight into ``out`` where numpy can.
 
     ``np.take`` copies a strided source (GenreOnly's inputs are a view)
-    whole before it gathers, and cannot write another dtype (the uint8
-    genres into the float64 batch), so those cases go through a temporary.
+    whole before it gathers, and cannot cast (uint8 or float64 sources into
+    the float32 batch), so those cases go through a temporary.
     """
     if src.flags.c_contiguous and src.dtype == out.dtype:
         np.take(src, idx, axis=0, out=out, mode="clip")  # idx is in range; "raise" buffers out

@@ -3,13 +3,22 @@
 The oracles deliberately re-derive results with plain Python loops and
 scalar math so the vectorized library paths are checked against an
 implementation that shares no code with them.
+
+Run as a module, it prints every sha256 pin of the tests beside the digest
+the code gives now, for a change that moves them on purpose to re-pin::
+
+    PYTHONPATH=src python -m tests.helpers digests
 """
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import math
 import platform
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,3 +538,39 @@ def transition_counts_oracle(users):
                 for j in cur:
                     counts[i, j] += 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# re-pin tooling
+
+
+def current_digests() -> dict[str, tuple[str, str]]:
+    """Name -> (pinned, current) sha256 of each trained-weights and report pin."""
+    from . import test_golden, test_nets
+
+    digests = {}
+    for cell, pinned in test_nets.PINNED_WEIGHTS.items():
+        result = test_nets.train_one(test_nets.small_dataset(), cell, test_nets.PINNED_CONFIG)
+        digests[f"PINNED_WEIGHTS[{cell.value}]"] = (pinned, test_nets.weights_sha256(result.params))
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            test_golden.test_pinned_config_report_bytes(Path(tmp))
+        except AssertionError:
+            pass  # the digest moved; the report is written all the same
+        report = hashlib.sha256((Path(tmp) / "out" / "report.csv").read_bytes()).hexdigest()
+    digests["GOLDEN_REPORT_SHA256"] = (test_golden.GOLDEN_REPORT_SHA256, report)
+    return digests
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(prog="python -m tests.helpers")
+    parser.add_argument("command", choices=["digests"], help="print pinned and current sha256")
+    parser.parse_args(argv)
+    build = current_build()
+    print(f"build {build}" + ("" if build == PINNED_BUILD else f", pins recorded on {PINNED_BUILD}"))
+    for name, (pinned, current) in current_digests().items():
+        print(f"{name:28} {pinned} {current} {'same' if pinned == current else 'MOVED'}")
+
+
+if __name__ == "__main__":
+    main()

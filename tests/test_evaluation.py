@@ -49,6 +49,22 @@ class TestConfusionCounts:
             confusion_counts(preds, targets)
         assert caught.value.count == 3
 
+    def test_non_finite_float32_predictions_raise(self):
+        preds = np.full((2, 19), 0.9, dtype=np.float32)
+        preds[0, 3], preds[1, 5] = np.inf, np.nan
+        with pytest.raises(NonFinitePrediction, match="2 of 38"):
+            confusion_counts(preds, np.ones((2, 19), dtype=np.uint8))
+
+    def test_float32_predictions_match_float64(self):
+        # Ties at 0.5 and its float32 neighbours, decided as on a float64 copy.
+        rng = np.random.default_rng(62)
+        preds = rng.uniform(size=(50, 19)).astype(np.float32)
+        preds[0, :3] = 0.5, np.nextafter(np.float32(0.5), 0), np.nextafter(np.float32(0.5), 1)
+        targets = (rng.uniform(size=(50, 19)) < 0.3).astype(np.uint8)
+        c = confusion_counts(preds, targets)
+        assert c == confusion_counts(preds.astype(np.float64), targets)
+        assert (c.tp, c.fp, c.fn, c.tn) == confusion_oracle(preds, targets)
+
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(61)
         preds = rng.uniform(0, 1, size=(50, 19))

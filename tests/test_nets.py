@@ -269,8 +269,9 @@ def sigmoid_inputs():
 
 
 def same_bits(a, b):
-    """Equal bit patterns, so signed zeros and subnormals count too."""
-    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+    """Equal dtypes and bit patterns, so signed zeros and subnormals count too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
 
 
 class TestSigmoid:
@@ -547,7 +548,7 @@ class TestTrain:
         result = train_one(ds, CellKind.LSTM, cfg)
         fresh = init_params(CellKind.LSTM, D, 8, init_scale=cfg.init_scale, seed=cfg.seed)
         for key in result.params.weights:
-            assert np.array_equal(result.params.weights[key], fresh.weights[key])
+            assert same_bits(result.params.weights[key], fresh.weights[key].astype(np.float32))
 
     def test_empty_dataset(self):
         ds = Dataset(np.zeros((0, 4, D)), np.zeros((0, 19)))
@@ -582,14 +583,19 @@ def small_dataset(n=45, seed=7):
     return Dataset(x, t)
 
 
-def per_tensor_train(dataset, cell, config):
-    """Reference loop: per-tensor momentum updates, loss summed batch by batch."""
+def per_tensor_train(dataset, cell, config, dtype=np.float32):
+    """Reference loop: per-tensor momentum updates, loss summed batch by batch.
+
+    The float64 init is cast to ``dtype`` and each batch is cast to it, as
+    ``train`` does in float32; float64 gives a double-precision fit.
+    """
     n = len(dataset)
     rng = np.random.default_rng(config.seed)
     params = init_params(
         cell, dataset.inputs.shape[2], config.hidden_dim, dataset.targets.shape[1],
         init_scale=config.init_scale, rng=rng,
     )
+    params = replace(params, weights={k: v.astype(dtype) for k, v in params.weights.items()})
     velocity = {k: np.zeros_like(v) for k, v in params.weights.items()}
     losses = []
     for _ in range(config.epochs):
@@ -597,9 +603,10 @@ def per_tensor_train(dataset, cell, config):
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            yb, cache = forward_sequence(dataset.inputs[idx], params)
-            total += bce_loss(yb, dataset.targets[idx]) * idx.size
-            grads = backward(cache, dataset.targets[idx], params)
+            xb, tb = dataset.inputs[idx].astype(dtype), dataset.targets[idx].astype(dtype)
+            yb, cache = forward_sequence(xb, params)
+            total += bce_loss(yb, tb) * idx.size
+            grads = backward(cache, tb, params)
             for k, vel in velocity.items():
                 vel *= config.momentum
                 vel -= config.learning_rate * grads[k]
@@ -608,15 +615,15 @@ def per_tensor_train(dataset, cell, config):
     return params, losses
 
 
-# sha256 of the weights after train(small_dataset(), cell, PINNED_CONFIG),
-# recorded with the per-tensor update loop on helpers.PINNED_BUILD.  A
-# change to the training arithmetic that moves any bit must re-pin these
-# on purpose.
+# sha256 of the float32 weights after train(small_dataset(), cell,
+# PINNED_CONFIG), recorded on helpers.PINNED_BUILD.  A change to the
+# training arithmetic that moves any bit must re-pin these on purpose
+# (``python -m tests.helpers digests`` prints pinned and current side by side).
 PINNED_CONFIG = TrainConfig(epochs=4, batch_size=8, hidden_dim=8, seed=11)
 PINNED_WEIGHTS = {
-    CellKind.RNN: "6bb2b02a226e450300ffbc3f27820645da70f9218c31c06c186c46af83e95f56",
-    CellKind.LSTM: "623f68026b1ba2e840ecfdf0643c1501250ab70115ea98653d5afc69e25d8c35",
-    CellKind.GRU: "97297271c896954488cd619f91292f8050315628a12b08df3b740ad84363c4ea",
+    CellKind.RNN: "2dce1e43b9170b6efc5b4c3f7c22de62e584b3eb62665d2e08a34eb635fd34b6",
+    CellKind.LSTM: "bef2b26092d14d4b4da57d1d5f25f5ff6c8f5e2f473a81826c1ae8330da2bad4",
+    CellKind.GRU: "c0fb6ddc540e2186c42078a719bc7a79c9a14cd770b6be0294be4eecaa957956",
 }
 
 
@@ -633,7 +640,7 @@ class TestTrainExactness:
         result = train_one(small_dataset(), cell, PINNED_CONFIG)
         ref_params, ref_losses = per_tensor_train(small_dataset(), cell, PINNED_CONFIG)
         for key, ref in ref_params.weights.items():
-            assert np.array_equal(result.params.weights[key], ref)
+            assert same_bits(result.params.weights[key], ref)
         assert result.losses == tuple(ref_losses)
 
     @pytest.mark.parametrize("cell", list(CellKind))
@@ -652,15 +659,16 @@ class TestTrainExactness:
             lone = train_one(dataset, cell, config)
             ref_params, ref_losses = per_tensor_train(dataset, cell, config)
             for key, ref in ref_params.weights.items():
-                assert np.array_equal(result.params.weights[key].view(np.uint64), ref.view(np.uint64))
-                assert np.array_equal(lone.params.weights[key].view(np.uint64), ref.view(np.uint64))
+                assert same_bits(result.params.weights[key], ref)
+                assert same_bits(lone.params.weights[key], ref)
             assert result.losses == lone.losses == tuple(ref_losses)
 
     @pytest.mark.parametrize("cell", list(CellKind))
     @pytest.mark.parametrize("models", [1, 2])
     @pytest.mark.parametrize("strided", [False, True])
     def test_uint8_genres_match_float64(self, cell, models, strided):
-        # GenreOnly data: 0/1 genre windows as uint8 and as float64.  Strided
+        # GenreOnly data: 0/1 genre windows as uint8, float32 and float64;
+        # all three reach the float32 batches as the same values.  Strided
         # sources are views of one (n, 5, 19) table, as genre_samples gives;
         # contiguous ones are copies, as a trimmed set is.
         def genre_only(seed, dtype):
@@ -673,11 +681,12 @@ class TestTrainExactness:
 
         configs = [replace(PINNED_CONFIG, seed=11 + m) for m in range(models)]
         one_byte = train([genre_only(7 + m, np.uint8) for m in range(models)], cell, configs)
-        floats = train([genre_only(7 + m, np.float64) for m in range(models)], cell, configs)
-        for got, expected in zip(one_byte, floats):
-            for key, ref in expected.params.weights.items():
-                assert same_bits(got.params.weights[key], ref)
-            assert got.losses == expected.losses
+        for dtype in (np.float32, np.float64):
+            floats = train([genre_only(7 + m, dtype) for m in range(models)], cell, configs)
+            for got, expected in zip(one_byte, floats):
+                for key, ref in expected.params.weights.items():
+                    assert same_bits(got.params.weights[key], ref), dtype
+                assert got.losses == expected.losses
 
     @pytest.mark.parametrize("cell", list(CellKind))
     @pytest.mark.parametrize("models", [1, 3])
@@ -721,6 +730,49 @@ class TestTrainExactness:
             train([], CellKind.RNN, [])
 
 
+# A float32 fit's predictions may differ from a float64 fit's of the same
+# seed by this much.  Measured: at most 8.4e-7 over the three cells at 200
+# epochs (each step rounds to 2**-24 relative, and momentum carries it);
+# the report thresholds at 0.5 and writes 4 decimals.
+FLOAT32_DRIFT = 1e-4
+
+
+class TestDtype:
+    @pytest.mark.parametrize("cell", list(CellKind))
+    def test_train_and_predict_in_float32(self, cell):
+        result = train_one(small_dataset(), cell, PINNED_CONFIG)
+        assert {v.dtype for v in result.params.weights.values()} == {np.dtype(np.float32)}
+        uint8 = (small_dataset().inputs > 0.5).astype(np.uint8)
+        for inputs in (small_dataset().inputs, uint8):
+            assert predict(result.params, inputs).dtype == np.float32
+
+    @pytest.mark.parametrize("cell", list(CellKind))
+    def test_float64_params_stay_float64(self, cell):
+        # The finite-difference oracles call the kernels with float64
+        # params; float32 or uint8 inputs must not lower their precision.
+        params = random_params(cell, seed=67)
+        x = np.random.default_rng(67).uniform(0, 1, (5, 4, D))
+        t = (np.random.default_rng(68).uniform(size=(5, 19)) < 0.3).astype(np.uint8)
+        for inputs in (x, x.astype(np.float32), (x > 0.5).astype(np.uint8)):
+            y, cache = forward_sequence(inputs, params)
+            assert y.dtype == cache["h"].dtype == cache["xs"].dtype == np.float64
+            for act in cache["acts"]:
+                assert {a.dtype for a in act} == {np.dtype(np.float64)}
+            grads = backward(cache, t, params)
+            assert {g.dtype for g in grads.values()} == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("cell", list(CellKind))
+    def test_float32_fit_tracks_float64_fit(self, cell):
+        data = small_dataset()
+        config = TrainConfig(epochs=200, batch_size=8, hidden_dim=32, seed=11)
+        result = train_one(data, cell, config)
+        ref_params, ref_losses = per_tensor_train(data, cell, config, dtype=np.float64)
+        ref = predict(ref_params, data.inputs)
+        assert ref.dtype == np.float64
+        assert np.abs(predict(result.params, data.inputs) - ref).max() <= FLOAT32_DRIFT
+        assert np.abs(np.subtract(result.losses, ref_losses)).max() <= FLOAT32_DRIFT
+
+
 class TestPredict:
     @pytest.mark.parametrize("cell", list(CellKind))
     @pytest.mark.parametrize("rows", [_PREDICT_ROWS + 1, 2 * _PREDICT_ROWS + 60])
@@ -761,7 +813,8 @@ class TestCheckpoint:
                 assert (loaded.input_dim, loaded.hidden_dim, loaded.output_dim) == (D, H, 19)
                 assert set(loaded.weights) == set(params.weights)
                 for key in params.weights:
-                    assert np.array_equal(loaded.weights[key], params.weights[key])
+                    assert loaded.weights[key].dtype == params.weights[key].dtype
+                    assert same_bits(loaded.weights[key], params.weights[key])
                 x = np.random.default_rng(54).uniform(0, 1, (4, D))
                 assert np.array_equal(predict(params, x), predict(loaded, x))
 
