@@ -72,7 +72,8 @@ for cell in CellKind:
 
 # --- checkpointing -----------------------------------------------------------
 # train() fits a stack of models that share a cell, one config but the
-# seed, and a dataset shape; each model's result is that of a lone fit.
+# seed, and a sample shape (their datasets' lengths may differ); each
+# model's result is that of a lone fit.
 stack = train([dataset] * 2, CellKind.GRU, [TrainConfig(epochs=50, hidden_dim=8, seed=s) for s in (0, 1)])
 (lone,) = train([dataset], CellKind.GRU, [TrainConfig(epochs=50, hidden_dim=8, seed=1)])
 print(f"\nstacked fit of 2 seeds: seed 1 equals its lone fit = {stack[1].losses == lone.losses}")

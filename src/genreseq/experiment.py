@@ -217,31 +217,27 @@ def _profiles(users: Users) -> np.ndarray:
 
 
 def _fit_and_score(
-    samples: tuple[Dataset, Dataset],
-    probs: np.ndarray,
+    fits: dict[tuple[int, FeatureMode], tuple[tuple[Dataset, Dataset], np.ndarray, int]],
     cell: CellKind,
-    seeds: dict[FeatureMode, int],
-    cluster: int,
     config: ExperimentConfig,
-) -> dict[FeatureMode, ClusterMetrics]:
-    """Fit one model per mode in ``seeds`` (with its seed) as one stack, and score each.
+) -> dict[tuple[int, FeatureMode], ClusterMetrics]:
+    """Fit a model per (group, mode) key as one ragged stack, and score each.
 
-    The modes must share an input width.  The stack's training inputs are
-    dropped before the test sets are featurized, and those are featurized
-    and scored one mode at a time, so the training inputs of one stack and
-    one test set are never alive together.
+    Each value holds the group's (train, test) samples, its transition
+    probabilities and the fit's seed; the modes share an input width.  The
+    test sets are featurized and scored one model at a time after the
+    stack's training inputs are dropped, so none is alive with them.
     """
-    train_samples, test_samples = samples
     results = train(
-        [featurize(train_samples, probs, mode) for mode in seeds],
+        [featurize(samples[0], probs, mode) for (_, mode), (samples, probs, _) in fits.items()],
         cell,
-        [replace(config.train, seed=seed) for seed in seeds.values()],
+        [replace(config.train, seed=seed) for _, _, seed in fits.values()],
     )
     scores = {}
-    for mode, result in zip(seeds, results):
-        test = featurize(test_samples, probs, mode)
+    for ((g, mode), (samples, probs, _)), result in zip(fits.items(), results):
+        test = featurize(samples[1], probs, mode)
         counts = confusion_counts(predict(result.params, test.inputs), test.targets)
-        scores[mode] = cluster_metrics(cluster, counts)
+        scores[g, mode] = cluster_metrics(g, counts)
     return scores
 
 
@@ -308,24 +304,27 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     for cell in config.cells:
         for modes in stacks:
             seeds = {
-                g: {mode: derive_seed(config.seed, *fit, cell.value, mode.value) for mode in modes}
+                (g, mode): derive_seed(config.seed, *fit, cell.value, mode.value)
                 for g, (_, _, fit) in groups.items()
+                for mode in modes
             }
-            fitted = {
-                g: _fit_and_score(samples[g], probs[g], cell, seeds[g], g, config)
-                for g in groups
-                if g not in untested
-            }
-            scores = {mode: {g: fitted[g][mode] for g in fitted} for mode in modes}
+            # BC trains alone, then every tested cluster's AC fits as one
+            # ragged stack.
+            fits = {key: (samples[key[0]], probs[key[0]], seed) for key, seed in seeds.items()}
+            fitted = _fit_and_score({key: fits[key] for key in fits if key[0] < 0}, cell, config)
+            tested = {key: fits[key] for key in fits if key[0] >= 0 and key[0] not in untested}
+            fitted |= _fit_and_score(tested, cell, config)
+            scores = {mode: {g: fitted[g, mode] for g in groups if (g, mode) in fitted} for mode in modes}
             bc = {mode: scores[mode].pop(-1) for mode in modes}
             ac = {mode: _summary(scores[mode], config.weighted_means) for mode in modes}
             selected = {mode: select_trim_clusters(scores[mode].values(), config.eta) for mode in modes}
 
-            # AT retrains each selected cluster, as one stack of the modes
-            # that selected it, each with its AC seed.
+            # AT retrains every selected cluster, each for the modes that
+            # selected it with its AC seed, as one more ragged stack.
             at = {mode: dict(scores[mode]) for mode in modes}
+            retrain = {}
             for c in sorted(set().union(*selected.values())):
-                chosen = {mode: seeds[c][mode] for mode in modes if c in selected[mode]}
+                chosen = [mode for mode in modes if c in selected[mode]]
                 mgm = MovieGenreMatrix.from_sequences(c, users[groups[c][0]])
                 _, zeroed = trim_genres(mgm, config.theta)
                 if not zeroed:
@@ -333,13 +332,15 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
                 else:
                     trimmed = tuple(apply_trim_to_dataset(d, zeroed)[0] for d in samples[c])
                     if all(trimmed):
-                        for mode, m in _fit_and_score(trimmed, probs[c], cell, chosen, c, config).items():
-                            at[mode][c] = m
+                        retrain.update({(c, mode): (trimmed, probs[c], seeds[c, mode]) for mode in chosen})
                         continue
                     emptied = [name for name, d in zip(("training", "test"), trimmed) if not d]
                     reason = f"trim left no {' or '.join(emptied)} samples"
                 for mode in chosen:
                     at_skipped[(cell.value, mode.value)][c] = reason
+            if retrain:
+                for (c, mode), m in _fit_and_score(retrain, cell, config).items():
+                    at[mode][c] = m
 
             for mode in modes:
                 tags = (cell.value, mode.value)

@@ -50,7 +50,8 @@ models of one cell and shape.  Inputs are then (M, B, T, d) and targets
 (M, B, o); every GEMM is a batched ``np.matmul`` (one BLAS call per
 model), reductions run over each model's rows, and ``bce_loss`` returns
 one mean per model, each bit for bit a lone call's.  :func:`train` steps
-a stack of M fits with one call of each kernel per step.
+a ragged stack of fits: per batch, one call of each kernel for each run
+of models that end it on the same row.
 """
 
 from __future__ import annotations
@@ -489,8 +490,11 @@ def predict(params: NetParams, inputs: np.ndarray) -> np.ndarray:
     return np.concatenate([forward_sequence(part, params)[0] for part in parts], axis=-2)
 
 
-# train gathers each epoch in blocks of about this many rows per model.
+# train gathers each epoch in blocks of about this many rows per stack, and
+# runs at most _STACK_ROWS batch rows per kernel call: a ragged stack of
+# more than _STACK_ROWS // batch_size models trains as several stacks.
 _GATHER_ROWS = 1024
+_STACK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -502,77 +506,94 @@ class TrainResult:
 def train(
     datasets: Sequence[Dataset], cell: CellKind, configs: Sequence[TrainConfig]
 ) -> list[TrainResult]:
-    """Seeded mini-batch gradient descent with momentum, for a stack of fits.
+    """Seeded mini-batch gradient descent with momentum, for a ragged stack of fits.
 
     Model m fits ``datasets[m]`` with ``configs[m]``.  The configs may
-    differ only in their seeds, and the datasets must have one length and
-    one sample shape, so that every model's batches line up.  Each model
-    has its own generator: its params start uniform in [-init_scale,
-    init_scale] and its samples reshuffle each epoch from it, so its seed
-    alone fixes its trajectory, bit for bit that of a lone fit.  Returns
-    each model's final parameters and per-epoch mean loss.
+    differ only in their seeds, and the datasets must share one sample
+    shape; their lengths may differ.  Each model has its own generator: its
+    params start uniform in [-init_scale, init_scale] and its samples
+    reshuffle each epoch from it, so its seed alone fixes its trajectory,
+    bit for bit that of a lone fit.  The models train longest first, in
+    stacks of at most ``_STACK_ROWS // batch_size`` (at least one).
+    Returns, in input order, each model's final params and per-epoch mean loss.
     """
     if not datasets or len(datasets) != len(configs):
         raise ValueError(f"{len(datasets)} datasets for {len(configs)} configs")
     config = configs[0]
     if any(replace(c, seed=config.seed) != config for c in configs):
         raise ValueError("a stack's configs may differ only in their seeds")
-    n = len(datasets[0])
-    in_shape, out_shape = datasets[0].inputs.shape[1:], datasets[0].targets.shape[1:]
-    for d in datasets:
-        if (len(d), d.inputs.shape[1:], d.targets.shape[1:]) != (n, in_shape, out_shape):
-            raise ShapeMismatch(
-                f"stacked datasets differ: {len(d)} samples of {d.inputs.shape[1:]} -> "
-                f"{d.targets.shape[1:]} vs {n} of {in_shape} -> {out_shape}"
-            )
-    if n == 0:
+    shapes = {(d.inputs.shape[1:], d.targets.shape[1:]) for d in datasets}
+    if len(shapes) > 1:
+        raise ShapeMismatch(f"stacked datasets differ: samples -> targets of {sorted(shapes)}")
+    if not all(len(d) for d in datasets):
         raise EmptyDataset("no training samples")
+    order = sorted(range(len(datasets)), key=lambda m: -len(datasets[m]))
+    size = max(1, _STACK_ROWS // config.batch_size)
+    results: dict[int, TrainResult] = {}
+    for part in (order[i : i + size] for i in range(0, len(order), size)):
+        results.update(zip(part, _train_stack([datasets[m] for m in part], cell, [configs[m] for m in part])))
+    return [results[m] for m in range(len(datasets))]
+
+
+def _train_stack(
+    datasets: Sequence[Dataset], cell: CellKind, configs: Sequence[TrainConfig]
+) -> list[TrainResult]:
+    """:func:`train` on one stack, whose datasets run longest first."""
+    config = configs[0]
+    batch = config.batch_size
+    lengths = np.array([len(d) for d in datasets])
+    in_shape, out_shape = datasets[0].inputs.shape[1:], datasets[0].targets.shape[1:]
+    dims = (in_shape[-1], config.hidden_dim, out_shape[0])
     rngs = [np.random.default_rng(c.seed) for c in configs]
-    inits = [
-        init_params(cell, in_shape[-1], config.hidden_dim, out_shape[0], config.init_scale, rng=rng).weights
-        for rng in rngs
-    ]
+    inits = [init_params(cell, *dims, config.init_scale, rng=rng).weights for rng in rngs]
     # Parameters, gradient and velocity each live in one (M, P) buffer, a
-    # row per model (the weights dict holds views into it, and backward
-    # writes into views of the gradient), so the momentum update is a few
-    # whole-buffer ufuncs instead of a few per tensor.
+    # row per model, so the momentum update is a few ufuncs on the rows of
+    # the models still stepping.  A kernel call on models [lo, hi) runs on
+    # views of rows lo:hi: the weights, and the gradients backward writes.
     flat = np.array([np.concatenate([v.ravel() for v in w.values()]) for w in inits], np.float32)
-    stack = NetParams(cell, in_shape[-1], config.hidden_dim, out_shape[0], _views(flat, inits[0]))
     grad = np.empty_like(flat)
-    grads = _views(grad, inits[0])
     velocity = np.zeros_like(flat)
     # Each epoch is gathered a block of whole batches at a time (one
-    # _take_rows per dataset per block); each batch is a view into it.
-    batch = config.batch_size
-    block = max(1, _GATHER_ROWS // batch) * batch
-    xblock = np.empty((len(datasets), min(block, n), *in_shape), np.float32)
-    tblock = np.empty((len(datasets), min(block, n), *out_shape), np.float32)
+    # _take_rows per dataset per block); each batch is a view into it.  The
+    # plan, the same every epoch, holds per block its first row, the rows
+    # each model still stepping (a prefix) takes, and per batch its start
+    # and its runs (lo, hi, stop): models [lo, hi) end the batch at stop.
+    block = max(1, _GATHER_ROWS // (batch * len(datasets))) * batch
+    plan = []
+    for first in range(0, lengths[0], block):
+        rows = [r for r in np.minimum(lengths - first, block).tolist() if r > 0]
+        ends = [[min(r, start + batch) for r in rows if r > start] for start in range(0, rows[0], batch)]
+        runs = [[(e.index(x), e.index(x) + e.count(x), x) for x in dict.fromkeys(e)] for e in ends]
+        plan.append((first, rows, list(zip(range(0, rows[0], batch), runs))))
+    views = {
+        (lo, hi): (NetParams(cell, *dims, _views(flat[lo:hi], inits[0])), _views(grad[lo:hi], inits[0]))
+        for lo, hi in {run[:2] for _, _, steps in plan for _, runs in steps for run in runs}
+    }
+    xblock = np.empty((len(datasets), min(block, lengths[0]), *in_shape), np.float32)
+    tblock = np.empty((len(datasets), min(block, lengths[0]), *out_shape), np.float32)
     losses: list[np.ndarray] = []
     for _ in range(config.epochs):
-        orders = [rng.permutation(n) for rng in rngs]
+        orders = [rng.permutation(n) for rng, n in zip(rngs, lengths)]
         total = np.zeros(len(rngs))
-        for first in range(0, n, block):
-            rows = min(block, n - first)
-            for m, d in enumerate(datasets):
-                idx = orders[m][first : first + rows]
-                _take_rows(d.inputs, idx, xblock[m, :rows])
-                _take_rows(d.targets, idx, tblock[m, :rows])
-            for start in range(0, rows, batch):
-                stop = min(start + batch, rows)
-                yb, cache = forward_sequence(xblock[:, start:stop], stack)
-                tb = tblock[:, start:stop]
-                total += bce_loss(yb, tb) * (stop - start)
-                backward(cache, tb, stack, out=grads)
-                velocity *= config.momentum
-                grad *= config.learning_rate
-                velocity -= grad
-                flat += velocity
-        losses.append(total / n)
+        for first, rows, steps in plan:
+            for m, r in enumerate(rows):
+                idx = orders[m][first : first + r]
+                _take_rows(datasets[m].inputs, idx, xblock[m, :r])
+                _take_rows(datasets[m].targets, idx, tblock[m, :r])
+            for start, runs in steps:
+                for lo, hi, stop in runs:
+                    params, grads = views[lo, hi]
+                    yb, cache = forward_sequence(xblock[lo:hi, start:stop], params)
+                    tb = tblock[lo:hi, start:stop]
+                    total[lo:hi] += bce_loss(yb, tb) * (stop - start)
+                    backward(cache, tb, params, out=grads)
+                velocity[:hi] *= config.momentum
+                grad[:hi] *= config.learning_rate
+                velocity[:hi] -= grad[:hi]
+                flat[:hi] += velocity[:hi]
+        losses.append(total / lengths)
     return [
-        TrainResult(
-            NetParams(cell, stack.input_dim, stack.hidden_dim, stack.output_dim, _views(row, inits[0])),
-            tuple(float(epoch[m]) for epoch in losses),
-        )
+        TrainResult(NetParams(cell, *dims, _views(row, inits[0])), tuple(float(epoch[m]) for epoch in losses))
         for m, row in enumerate(flat)
     ]
 

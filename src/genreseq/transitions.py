@@ -131,7 +131,7 @@ def genre_samples(users: Users) -> Dataset:
     return Dataset(users.genres[:, :4], users.genres[:, 4])
 
 
-# featurize casts this many samples' steps to float64 at a time (a 156 KB
+# featurize computes this many samples' steps in float64 at a time (a 156 KB
 # block).  Casting the whole set raised a run's peak memory, and 1,024-row
 # blocks still raised it by about 0.2 MB and were slower.
 _FEATURIZE_ROWS = 256
@@ -144,16 +144,17 @@ def featurize(samples: Dataset, probs: np.ndarray, mode: FeatureMode) -> Dataset
     :data:`_FEATURIZE_ROWS` samples casts its genre support into one
     float64 buffer and takes one GEMM over all of its steps.  The GEMM sums
     the support rows in another order than :func:`atv`'s mean, so an ATV
-    may differ from it in the last bit.  The 0/1 steps, uint8 or float,
-    enter the float64 inputs as the same values.  ``GenreOnly`` returns
-    ``samples`` itself, not a copy.
+    may differ from it in the last bit.  Each block is combined in float64
+    and stored rounded to the float32 inputs, the precision the nets train
+    and predict in.  ``GenreOnly`` returns ``samples`` itself, not a copy.
     """
     steps = samples.inputs
     n = len(samples)
     dim = feature_dim(mode)
     support_rows = np.empty((4 * min(n, _FEATURIZE_ROWS), N_GENRES))
     sizes_rows = np.empty(len(support_rows))
-    inputs = None if mode is FeatureMode.GENRE_ONLY else np.empty((n, 4, dim))
+    inputs = None if mode is FeatureMode.GENRE_ONLY else np.empty((n, 4, dim), np.float32)
+    work = np.empty((min(n, _FEATURIZE_ROWS), 4, dim))
     for first in range(0, n, _FEATURIZE_ROWS):
         block = steps[first : first + _FEATURIZE_ROWS]
         # Contiguous slabs, so each reshape is a view: (b, 4, .) <-> (4b, .).
@@ -164,7 +165,7 @@ def featurize(samples: Dataset, probs: np.ndarray, mode: FeatureMode) -> Dataset
             raise EmptyGenreSupport("no genres set; transition vector undefined")
         if inputs is None:
             continue
-        out = inputs[first : first + len(block)]
+        out = work[: len(block)]
         atvs = out.reshape(-1, dim)[:, dim - N_GENRES :]
         np.matmul(support, probs, out=atvs)
         atvs /= sizes[:, None]
@@ -174,6 +175,7 @@ def featurize(samples: Dataset, probs: np.ndarray, mode: FeatureMode) -> Dataset
             out *= block
         elif mode is FeatureMode.CONCAT:
             out[:, :, :N_GENRES] = block
+        inputs[first : first + len(block)] = out
     return samples if inputs is None else Dataset(inputs, samples.targets)
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from genreseq import experiment
+from genreseq import experiment, nets
 from genreseq.cli import _CONFIG_KEYS, _build_parser, main
 from genreseq.datagen import write_archetype_dataset
 from genreseq.errors import EmptyDataset
@@ -217,14 +217,16 @@ class TestRunExperiment:
         fitted = []
         fit_and_score = experiment._fit_and_score
 
-        def fit(samples, probs, cell, seeds, cluster, config):
-            fitted.append(cluster)
-            return fit_and_score(samples, probs, cell, seeds, cluster, config)
+        def fit(fits, cell, config):
+            fitted.append(sorted({g for g, _ in fits}))
+            return fit_and_score(fits, cell, config)
 
         monkeypatch.setattr(experiment, "_fit_and_score", fit)
         report = run_experiment(small_config())
         assert report.untested == (1,)
-        assert 1 not in fitted
+        # BC alone, then clusters 0 and 2 as one stack, then the AT retrains.
+        assert fitted[:2] == [[-1], [0, 2]]
+        assert not any(1 in groups for groups in fitted)
         for details in (report.ac_metrics, report.at_metrics):
             assert [d.cluster for d in details[("RNN", "Product")]] == [0, 2]
         assert {r.cluster for r in report.rows} == {"all", "mean", "0", "2"}
@@ -429,40 +431,58 @@ class TestStageProtocol:
 
         at_fits = partial = 0
         # The modes of one input width (d = 19, then Concat's d = 38) train
-        # as one stack: one train call per group, a model per mode.
+        # as one stack: a model per mode in each train call.
         for stack in (("RNN", "Product"), ("RNN", "GenreOnly")), (("RNN", "Concat"),):
-            # BC on every user, then AC on each cluster.
+            # BC on every user, then every tested cluster's AC fits in one call.
             expected = [[(derive_seed(s, "train-bc", *tags), n_train(n_users)) for tags in stack]]
-            expected += [
-                [(derive_seed(s, "train-ac", c, *tags), n_train(sizes[c])) for tags in stack]
-                for c in clusters
-            ]
-            assert fits[: len(expected)] == expected
-            del fits[: len(expected)]
-            # AT retrains trimmed clusters in order, one call per cluster for
-            # the stack's modes that selected it, each model with its AC seed,
-            # on the cluster's training users less the samples trimming dropped.
+            ac = [(derive_seed(s, "train-ac", c, *tags), n_train(sizes[c])) for c in clusters for tags in stack]
+            expected.append(ac)
+            assert fits[:2] == expected
+            del fits[:2]
+            # AT retrains trimmed clusters in one call, in cluster order: a
+            # model for each of the stack's modes that selected the cluster,
+            # each with its AC seed, on the cluster's training users less the
+            # samples trimming dropped.
             ac_seed = {derive_seed(s, "train-ac", c, *tags): (c, tags) for c in clusters for tags in stack}
             selected = {
                 tags: {m.cluster for m in report.ac_metrics[tags] if m.p_min < config.eta} for tags in stack
             }
             partial += len({frozenset(selected[tags]) for tags in stack}) > 1
-            at = []
-            while fits and fits[0][0][0] in ac_seed:
+            retrained = {tags: selected[tags] - set(report.at_skipped[tags]) for tags in stack}
+            at = [(c, t) for c in sorted(set().union(*retrained.values())) for t in stack if c in retrained[t]]
+            if at:
                 call = fits.pop(0)
-                (c,) = {ac_seed[seed][0] for seed, _ in call}
-                (size,) = {size for _, size in call}
-                assert 0 < size <= n_train(sizes[c])
-                assert [ac_seed[seed][1] for seed, _ in call] == [t for t in stack if c in selected[t]]
-                at.append(c)
-            assert at == sorted(set(at))
-            for tags in stack:
-                retrained = {c for c in selected[tags] if c not in report.at_skipped[tags]}
-                assert retrained == {c for c in at if c in selected[tags]}
-                at_fits += len(retrained)
+                assert [ac_seed[seed] for seed, _ in call] == at
+                trimmed_size = {}
+                for seed, size in call:
+                    c = ac_seed[seed][0]
+                    assert 0 < trimmed_size.setdefault(c, size) == size <= n_train(sizes[c])
+                at_fits += len(call)
         assert fits == []
         assert at_fits > 0
         assert partial
+
+    def test_stacking_moves_nothing(self, monkeypatch):
+        # A budget of no rows trains every model alone; the report is the
+        # same in every field as with the stacks the default budget makes.
+        stacks = []
+        train_stack = nets._train_stack
+
+        def recorded(datasets, cell, configs):
+            stacks.append(len(datasets))
+            return train_stack(datasets, cell, configs)
+
+        monkeypatch.setattr(nets, "_train_stack", recorded)
+        modes = (FeatureMode.SUM, FeatureMode.PRODUCT, FeatureMode.GENRE_ONLY, FeatureMode.CONCAT)
+        config = small_config(cells=(CellKind.RNN, CellKind.LSTM), modes=modes, k=5, eta=0.9)
+        stacked = run_experiment(config)
+        assert max(stacks) > 1
+        models = sum(stacks)
+        stacks.clear()
+        monkeypatch.setattr(nets, "_STACK_ROWS", 0)
+        alone = run_experiment(config)
+        assert stacks == [1] * models
+        assert alone == stacked
 
 
 class TestCli:

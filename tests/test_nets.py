@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from genreseq import nets
 from genreseq.errors import EmptyDataset, ShapeMismatch
 from genreseq.nets import (
     _PREDICT_ROWS,
+    _STACK_ROWS,
     _GRU_MATRICES,
     _LSTM_MATRICES,
     CellKind,
@@ -583,6 +585,26 @@ def small_dataset(n=45, seed=7):
     return Dataset(x, t)
 
 
+def strided(dataset):
+    """``dataset`` with its inputs as a strided view, as GenreOnly's are."""
+    n = len(dataset)
+    wide = np.concatenate([dataset.inputs, np.ones((n, 4, 3))], axis=2)
+    return Dataset(wide[:, :, :D], dataset.targets)
+
+
+def assert_lone_fits(datasets, cell, configs):
+    """Each model of one stacked train call is bit for bit its lone fit and the reference loop's."""
+    results = train(datasets, cell, configs)
+    assert len(results) == len(datasets)
+    for dataset, config, result in zip(datasets, configs, results):
+        lone = train_one(dataset, cell, config)
+        ref_params, ref_losses = per_tensor_train(dataset, cell, config)
+        for key, ref in ref_params.weights.items():
+            assert same_bits(result.params.weights[key], ref), key
+            assert same_bits(lone.params.weights[key], ref), key
+        assert result.losses == lone.losses == tuple(ref_losses)
+
+
 def per_tensor_train(dataset, cell, config, dtype=np.float32):
     """Reference loop: per-tensor momentum updates, loss summed batch by batch.
 
@@ -650,18 +672,39 @@ class TestTrainExactness:
         # batch 8 leave every model a ragged final batch of 5.  The last
         # model's inputs are a strided view, as GenreOnly's are.
         datasets = [small_dataset(seed=7 + m) for m in range(models)]
-        wide = np.concatenate([datasets[-1].inputs, np.ones((45, 4, 3))], axis=2)
-        datasets[-1] = Dataset(wide[:, :, :D], datasets[-1].targets)
+        datasets[-1] = strided(datasets[-1])
         configs = [replace(PINNED_CONFIG, seed=11 + m) for m in range(models)]
-        results = train(datasets, cell, configs)
-        assert len(results) == models
-        for dataset, config, result in zip(datasets, configs, results):
-            lone = train_one(dataset, cell, config)
-            ref_params, ref_losses = per_tensor_train(dataset, cell, config)
-            for key, ref in ref_params.weights.items():
-                assert same_bits(result.params.weights[key], ref)
-                assert same_bits(lone.params.weights[key], ref)
-            assert result.losses == lone.losses == tuple(ref_losses)
+        assert_lone_fits(datasets, cell, configs)
+
+    @pytest.mark.parametrize("cell", list(CellKind))
+    def test_ragged_stack_matches_lone_fits(self, cell):
+        # 37, 45, 12 and 44 samples at batch 8 train longest first: at step
+        # 4 models 45 and 44 take 8 rows and 37 its last 5, at step 5 45 and
+        # 44 take their last 5 and 4, and 12 stops after step 1.
+        datasets = [small_dataset(n, seed=7 + m) for m, n in enumerate((37, 45, 12, 44))]
+        datasets[2] = strided(datasets[2])
+        configs = [replace(PINNED_CONFIG, seed=11 + m) for m in range(4)]
+        assert_lone_fits(datasets, cell, configs)
+
+    @pytest.mark.parametrize("cell", list(CellKind))
+    def test_ragged_stacks_split_by_the_row_budget(self, cell, monkeypatch):
+        # At half the row budget per batch, five models train as stacks of
+        # 2, 2 and 1: (1100, 1030) in three gather blocks of 512 rows each,
+        # the last of 76 and 6; (600, 128), where only 600 reaches the
+        # second block; and 45 alone.
+        stacks = []
+        train_stack = nets._train_stack
+
+        def recorded(datasets, cell, configs):
+            stacks.append([len(d) for d in datasets])
+            return train_stack(datasets, cell, configs)
+
+        monkeypatch.setattr(nets, "_train_stack", recorded)
+        config = replace(PINNED_CONFIG, epochs=2, batch_size=_STACK_ROWS // 2)
+        datasets = [small_dataset(n, seed=7 + m) for m, n in enumerate((600, 1100, 45, 1030, 128))]
+        datasets[3] = strided(datasets[3])
+        assert_lone_fits(datasets, cell, [replace(config, seed=11 + m) for m in range(5)])
+        assert stacks[:3] == [[1100, 1030], [600, 128], [45]]
 
     @pytest.mark.parametrize("cell", list(CellKind))
     @pytest.mark.parametrize("models", [1, 2])
@@ -691,9 +734,10 @@ class TestTrainExactness:
     @pytest.mark.parametrize("cell", list(CellKind))
     @pytest.mark.parametrize("models", [1, 3])
     def test_gather_blocks_match_per_tensor_loop(self, cell, models):
-        # 1,100 samples at batch 32 take two gather blocks, 1,024 rows and a
-        # ragged 76, whose last batch is a ragged 12.  The sources are
-        # strided uint8 views, as genre_samples gives.
+        # 1,100 samples at batch 32: one model takes two gather blocks,
+        # 1,024 rows and a ragged 76, whose last batch is a ragged 12; three
+        # share the block rows, 320 each.  The sources are strided uint8
+        # views, as genre_samples gives.
         def genre_only(seed):
             table = (np.random.default_rng(seed).uniform(size=(1100, 5, D)) < 0.3).astype(np.uint8)
             return Dataset(table[:, :4], table[:, 4])
@@ -717,8 +761,6 @@ class TestTrainExactness:
 
     def test_stack_mismatch_raises(self):
         ds = small_dataset()
-        with pytest.raises(ShapeMismatch, match="stacked datasets differ"):
-            train([ds, small_dataset(n=44)], CellKind.RNN, [PINNED_CONFIG] * 2)
         wide = Dataset(np.concatenate([ds.inputs, ds.inputs], axis=2), ds.targets)
         with pytest.raises(ShapeMismatch, match="stacked datasets differ"):
             train([ds, wide], CellKind.RNN, [PINNED_CONFIG] * 2)
@@ -728,6 +770,9 @@ class TestTrainExactness:
             train([ds, ds], CellKind.RNN, [PINNED_CONFIG])
         with pytest.raises(ValueError, match="0 datasets"):
             train([], CellKind.RNN, [])
+        empty = Dataset(np.zeros((0, 4, D)), np.zeros((0, 19)))
+        with pytest.raises(EmptyDataset):
+            train([ds, empty], CellKind.RNN, [PINNED_CONFIG] * 2)
 
 
 # A float32 fit's predictions may differ from a float64 fit's of the same

@@ -7,10 +7,12 @@ so this installs the tracer on a small run (in a subprocess, since it
 rebinds module globals) and checks that the fit counts add up.  The
 synthetic run skips ingest, so a second run on a small CSV dataset checks
 the ingest counts.  The tracer counts ``train`` calls, so a stacked fit of
-several models counts once.
+several models counts once: per cell and input width, one BC call, one
+call for every cluster's AC fits and one for every AT retrain.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +37,17 @@ config = ExperimentConfig(
     train=TrainConfig(epochs=8, hidden_dim=8, seed=0),
     seed=11,
 )
+# The dataset lengths of each train call, recorded under the tracer's span.
+lengths = []
+train = experiment.train
+
+
+def recorded(datasets, cell, configs):
+    lengths.append([len(d) for d in datasets])
+    return train(datasets, cell, configs)
+
+
+experiment.train = recorded
 tracer = Tracer()
 install(tracer)
 report = experiment.run_experiment(config)
@@ -49,7 +62,7 @@ retrained = {
     for m in report.ac_metrics[t]
     if m.p_min < config.eta and m.cluster not in report.at_skipped[t]
 }
-print(json.dumps({"k": k, "at_stacks": len(retrained), "metrics": metrics}))
+print(json.dumps({"k": k, "retrained": len(retrained), "lengths": lengths, "metrics": metrics}))
 """
 
 
@@ -66,29 +79,38 @@ def traced_run(tmp_path, modes):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def samples_stepped(result):
+    """Each model steps ceil(n / batch) batches per epoch: 8 epochs at batch 32."""
+    return sum(8 * math.ceil(n / 32) for call in result["lengths"] for n in call)
+
+
 def test_traced_fit_counts_add_up(tmp_path):
     result = traced_run(tmp_path, "Product")
     m = result["metrics"]
-    # One BC fit, one AC fit per cluster, and the AT retrains.
-    assert m["evaluation.at_fits"] > 0
-    assert m["nets.fits"] == 1 + result["k"] + m["evaluation.at_fits"]
+    # One BC call, one AC call for every cluster and one AT call.
+    assert result["retrained"] > 0
+    assert m["evaluation.at_fits"] == 1
+    assert m["nets.fits"] == len(result["lengths"]) == 3
+    assert [len(call) for call in result["lengths"]] == [1, result["k"], result["retrained"]]
     assert m["nets.loss_calls"] == m["nets.train_steps"] > 0
+    assert m["nets.samples_stepped"] == samples_stepped(result)
     assert m["clustering.rating_profile_calls"] == 120
     assert m["transitions.featurize_samples"] > 0
 
 
 def test_traced_stacked_fits_count_once(tmp_path):
-    # Product and GenreOnly share an input width, so each group's two
-    # models train in one call: a BC stack, an AC stack per cluster and an
-    # AT stack per cluster either mode retrains.
+    # Product and GenreOnly share an input width, so each call trains a
+    # model per mode: the BC stack, every cluster's AC stack and the AT
+    # stack of the clusters either mode retrains.
     result = traced_run(tmp_path, "Product,GenreOnly")
     m = result["metrics"]
-    assert result["at_stacks"] > 0
-    assert m["evaluation.at_fits"] == result["at_stacks"]
-    assert m["nets.fits"] == 1 + result["k"] + result["at_stacks"]
+    assert result["retrained"] > 0
+    assert m["evaluation.at_fits"] == 1
+    assert m["nets.fits"] == len(result["lengths"]) == 3
+    assert [len(call) for call in result["lengths"][:2]] == [2, 2 * result["k"]]
     assert m["nets.loss_calls"] == m["nets.train_steps"] > 0
-    # Each stacked step counts its models as samples: 2 in the BC and AC stacks.
-    assert m["nets.train_steps"] < m["nets.samples_stepped"] <= 2 * m["nets.train_steps"]
+    # Each stacked step counts its models as samples: one per model step.
+    assert m["nets.train_steps"] < m["nets.samples_stepped"] == samples_stepped(result)
 
 
 CSV_SCRIPT = """

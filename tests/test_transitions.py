@@ -217,8 +217,9 @@ class TestBuildDataset:
 
     def test_featurize_matches_manual_combination(self):
         # The vectorized featurize reproduces atv + combine within ATV_BOUND
-        # (its GEMM sums in another order), and the genre columns exactly,
-        # on raw samples and on samples with trimmed genre columns.
+        # (its GEMM sums in another order) before its float32 rounding, and
+        # the genre columns exactly, on raw samples and on samples with
+        # trimmed genre columns.
         rng = np.random.default_rng(29)
         probs = normalize_transitions(rng.integers(0, 9, size=(19, 19)).astype(float))
         seqs = stack_users([self.sequences(40, seed=28), random_users(rng, 160, max_genres=8, first_id=100)])
@@ -240,7 +241,9 @@ class TestBuildDataset:
                         if mode is FeatureMode.GENRE_ONLY:
                             assert np.array_equal(got, expected)
                         else:
-                            assert np.abs(got - expected).max() <= self.ATV_BOUND
+                            # Then rounded to the nearest float32: half its spacing more.
+                            bound = self.ATV_BOUND + np.spacing(np.abs(expected).astype(np.float32)) / 2
+                            assert np.all(np.abs(got - expected) <= bound)
 
     def test_featurize_uint8_matches_float64(self):
         # genre_samples gives strided uint8 views; the same values as a
@@ -254,8 +257,8 @@ class TestBuildDataset:
             got, expected = featurize(samples, probs, mode), featurize(table, probs, mode)
             assert np.array_equal(got.inputs, expected.inputs)
             if mode is not FeatureMode.GENRE_ONLY:
-                assert got.inputs.dtype == np.float64
-                assert np.array_equal(got.inputs.view(np.uint64), expected.inputs.view(np.uint64))
+                assert got.inputs.dtype == np.float32
+                assert np.array_equal(got.inputs.view(np.uint32), expected.inputs.view(np.uint32))
             assert np.array_equal(got.targets, expected.targets)
 
     @pytest.mark.parametrize("mode", list(FeatureMode))
