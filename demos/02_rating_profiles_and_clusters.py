@@ -3,8 +3,7 @@
 
 Generates synthetic users from two planted taste groups and shows that
 seeded k-means on their rating profiles recovers the groups, that the
-Lloyd iterations only ever lower the objective, and how new users are
-assigned to the nearest centroid.
+Lloyd iterations only ever lower the objective.
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ import numpy as np
 from genreseq import (
     GENRES,
     Users,
-    assign_cluster,
     encode_genres,
     kmeans,
     rating_profile,
@@ -56,6 +54,3 @@ print("inertia history (always non-increasing):",
 action_clusters = set(model.labels[:30].tolist())
 romance_clusters = set(model.labels[30:].tolist())
 print(f"action fans land in cluster(s) {action_clusters}, romance fans in {romance_clusters}")
-
-newcomer = profiles(make_users(999, 1, ["Action", "Crime"], [4.5, 5.0]))[0]
-print(f"a new action-leaning user goes to cluster {assign_cluster(newcomer, model)}")

@@ -3,11 +3,8 @@
 
 Walks one step of each cell, checks the hand-derived backward pass
 against central finite differences, overfits a tiny dataset with each
-cell kind, and round-trips a checkpoint.
+cell kind, and fits a stack of seeds at once.
 """
-
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -19,9 +16,6 @@ from genreseq import (
     bce_loss,
     forward_sequence,
     init_params,
-    load_checkpoint,
-    predict,
-    save_checkpoint,
     train,
 )
 
@@ -70,15 +64,10 @@ for cell in CellKind:
     (result,) = train([dataset], cell, [TrainConfig(epochs=300, hidden_dim=8, batch_size=12, seed=0)])
     print(f"  {cell.value:<4} {result.losses[0]:.4f} -> {result.losses[-1]:.5f}")
 
-# --- checkpointing -----------------------------------------------------------
+# --- stacked fits -----------------------------------------------------------
 # train() fits a stack of models that share a cell, one config but the
 # seed, and a sample shape (their datasets' lengths may differ); each
 # model's result is that of a lone fit.
 stack = train([dataset] * 2, CellKind.GRU, [TrainConfig(epochs=50, hidden_dim=8, seed=s) for s in (0, 1)])
 (lone,) = train([dataset], CellKind.GRU, [TrainConfig(epochs=50, hidden_dim=8, seed=1)])
 print(f"\nstacked fit of 2 seeds: seed 1 equals its lone fit = {stack[1].losses == lone.losses}")
-final = stack[0].params
-path = save_checkpoint(final, Path(tempfile.mkdtemp()) / "gru_model")
-restored = load_checkpoint(path)
-same = bool(np.array_equal(predict(final, inputs), predict(restored, inputs)))
-print(f"\ncheckpoint round trip at {path.name}: predictions identical = {same}")

@@ -29,7 +29,7 @@ targets = (rng.uniform(size=(200, 19)) < 0.15).astype(float)
 noise = rng.uniform(-0.35, 0.35, size=targets.shape)
 predictions = np.clip(targets * 0.8 + 0.12 + noise, 0.01, 0.99)
 
-c = confusion_counts(predictions, targets, threshold=0.5)
+c = confusion_counts(predictions, targets)
 m = metrics(c)
 print(f"confusion cells over 200 samples x 19 genres: tp={c.tp} fp={c.fp} fn={c.fn} tn={c.tn}")
 print(f"recall={m.recall:.3f} precision={m.precision:.3f} accuracy={m.accuracy:.3f} f1={m.f1:.3f}")

@@ -2,14 +2,16 @@
 
 Options can come from a flat JSON config file (``--config``), with every
 command-line flag overriding its config key.  Exit code 0 on success,
-nonzero with a diagnostic line on stderr otherwise.
+2 with one ``error:`` line on stderr otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -20,27 +22,28 @@ from .ingest import SyntheticSpec
 from .nets import CellKind, TrainConfig
 from .transitions import FeatureMode
 
+_DEFAULTS = ExperimentConfig()
+_TRAIN = TrainConfig()
 _CONFIG_KEYS = {
-    "ratings": None,
-    "movies": None,
+    "ratings": _DEFAULTS.ratings_path,
+    "movies": _DEFAULTS.movies_path,
     "synthetic_users": None,
-    "k": 7,
-    "eta": 0.5,
-    "theta": 0.1,
-    "cells": ["RNN"],
-    "modes": ["Product"],
-    "seed": 0,
-    "split": 0.8,
-    "out": None,
-    "max_users": None,
-    "epochs": 200,
-    "hidden_dim": 32,
-    "learning_rate": 0.05,
-    "momentum": 0.9,
-    "batch_size": 32,
-    "init_scale": 0.1,
-    "dump_transitions": False,
-    "weighted_means": False,
+    "k": _DEFAULTS.k,
+    "eta": _DEFAULTS.eta,
+    "theta": _DEFAULTS.theta,
+    "cells": [c.value for c in _DEFAULTS.cells],
+    "modes": [m.value for m in _DEFAULTS.modes],
+    "seed": _DEFAULTS.seed,
+    "split": _DEFAULTS.split_fraction,
+    "out": _DEFAULTS.out_dir,
+    "max_users": _DEFAULTS.max_users,
+    "epochs": _TRAIN.epochs,
+    "hidden_dim": _TRAIN.hidden_dim,
+    "learning_rate": _TRAIN.learning_rate,
+    "momentum": _TRAIN.momentum,
+    "batch_size": _TRAIN.batch_size,
+    "init_scale": _TRAIN.init_scale,
+    "dump_transitions": _DEFAULTS.dump_transitions,
 }
 
 
@@ -59,41 +62,35 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N_USERS",
         help="skip files; generate N users from a seeded planted-chain model",
     )
-    parser.add_argument("--k", type=int, help="number of user clusters (default 7)")
-    parser.add_argument("--eta", type=float, help="trim-cluster selection threshold (default 0.5)")
-    parser.add_argument("--theta", type=float, help="sub-genre trim fraction (default 0.1)")
+    parser.add_argument("--k", type=int, help=f"number of user clusters (default {_DEFAULTS.k})")
+    parser.add_argument("--eta", type=float, help=f"trim-cluster selection threshold (default {_DEFAULTS.eta})")
+    parser.add_argument("--theta", type=float, help=f"sub-genre trim fraction (default {_DEFAULTS.theta})")
     parser.add_argument(
         "--cell",
         dest="cells",
         action="append",
         choices=[c.value for c in CellKind],
-        help="cell kind; repeat for several (default RNN)",
+        help=f"cell kind; repeat for several (default {', '.join(_CONFIG_KEYS['cells'])})",
     )
     parser.add_argument(
         "--mode",
         dest="modes",
         action="append",
         choices=[m.value for m in FeatureMode],
-        help="feature mode; repeat for several (default Product)",
+        help=f"feature mode; repeat for several (default {', '.join(_CONFIG_KEYS['modes'])})",
     )
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
-    parser.add_argument("--split", type=float, help="train fraction in (0,1) (default 0.8)")
+    parser.add_argument("--seed", type=int, help=f"master seed (default {_DEFAULTS.seed})")
+    parser.add_argument("--split", type=float, help=f"train fraction in (0,1) (default {_DEFAULTS.split_fraction})")
     parser.add_argument("--out", help="directory for report.csv / report.json")
     parser.add_argument("--max-users", type=int, help="seeded subsample of eligible users")
-    parser.add_argument("--epochs", type=int, help="training epochs (default 200)")
-    parser.add_argument("--hidden-dim", type=int, help="hidden units (default 32)")
-    parser.add_argument("--learning-rate", type=float, help="SGD learning rate (default 0.05)")
+    parser.add_argument("--epochs", type=int, help=f"training epochs (default {_TRAIN.epochs})")
+    parser.add_argument("--hidden-dim", type=int, help=f"hidden units (default {_TRAIN.hidden_dim})")
+    parser.add_argument("--learning-rate", type=float, help=f"SGD learning rate (default {_TRAIN.learning_rate})")
     parser.add_argument(
         "--dump-transitions",
         action="store_true",
         default=None,
         help="also write transitions_<cluster>.csv matrices",
-    )
-    parser.add_argument(
-        "--weighted-means",
-        action="store_true",
-        default=None,
-        help="weight cluster means by cluster test size instead of equally",
     )
     return parser
 
@@ -118,41 +115,52 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
+def _value(settings: dict, key: str, kind: Callable):
+    """``kind(settings[key])``, or None where None is the default; a bad value's error names its key."""
+    value = settings[key]
+    if value is None and _CONFIG_KEYS[key] is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
+
+
 def build_config(settings: dict) -> ExperimentConfig:
-    seed = int(settings["seed"])
+    seed = _value(settings, "seed", int)
+    n_users = _value(settings, "synthetic_users", int)
     synthetic = None
-    if settings["synthetic_users"] is not None:
+    if n_users is not None:
         synthetic = SyntheticSpec(
-            n_users=int(settings["synthetic_users"]),
+            n_users=n_users,
             planted_matrix=_default_planted(derive_seed(seed, "planted")),
             genres_per_movie=(1, 3),
             seed=derive_seed(seed, "synthetic"),
         )
     train = TrainConfig(
-        learning_rate=float(settings["learning_rate"]),
-        momentum=float(settings["momentum"]),
-        epochs=int(settings["epochs"]),
-        batch_size=int(settings["batch_size"]),
-        hidden_dim=int(settings["hidden_dim"]),
-        init_scale=float(settings["init_scale"]),
+        learning_rate=_value(settings, "learning_rate", float),
+        momentum=_value(settings, "momentum", float),
+        epochs=_value(settings, "epochs", int),
+        batch_size=_value(settings, "batch_size", int),
+        hidden_dim=_value(settings, "hidden_dim", int),
+        init_scale=_value(settings, "init_scale", float),
         seed=seed,
     )
     return ExperimentConfig(
-        ratings_path=settings["ratings"],
-        movies_path=settings["movies"],
+        ratings_path=_value(settings, "ratings", os.fspath),
+        movies_path=_value(settings, "movies", os.fspath),
         synthetic=synthetic,
-        k=int(settings["k"]),
-        eta=float(settings["eta"]),
-        theta=float(settings["theta"]),
-        cells=tuple(CellKind(c) for c in settings["cells"]),
-        modes=tuple(FeatureMode(m) for m in settings["modes"]),
+        k=_value(settings, "k", int),
+        eta=_value(settings, "eta", float),
+        theta=_value(settings, "theta", float),
+        cells=_value(settings, "cells", lambda cells: tuple(CellKind(c) for c in cells)),
+        modes=_value(settings, "modes", lambda modes: tuple(FeatureMode(m) for m in modes)),
         train=train,
-        split_fraction=float(settings["split"]),
+        split_fraction=_value(settings, "split", float),
         seed=seed,
-        out_dir=settings["out"],
-        max_users=settings["max_users"],
+        out_dir=_value(settings, "out", os.fspath),
+        max_users=_value(settings, "max_users", int),
         dump_transitions=bool(settings["dump_transitions"]),
-        weighted_means=bool(settings["weighted_means"]),
     )
 
 

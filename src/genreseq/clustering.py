@@ -110,8 +110,3 @@ def kmeans(profiles: np.ndarray, k: int = DEFAULT_K, seed: int = 0) -> ClusterMo
     history.append(inertia)
     return ClusterModel(k, centroids, labels, inertia, tuple(history))
 
-
-def assign_cluster(profile: np.ndarray, model: ClusterModel) -> int:
-    """Index of the centroid nearest a rating profile (ties go to the lowest index)."""
-    d2 = ((model.centroids - profile) ** 2).sum(axis=1)
-    return int(np.argmin(d2))

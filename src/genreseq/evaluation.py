@@ -23,7 +23,6 @@ from .ingest import SEQUENCE_LENGTH, Users
 from .transitions import Dataset
 
 DEFAULT_THRESHOLD = 0.5
-DEFAULT_TRIM_METRICS = ("precision", "recall")
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,7 @@ class Metrics:
 
 @dataclass(frozen=True)
 class ClusterMetrics:
-    """One cluster's metrics plus ``p_min``, the minimum over :data:`DEFAULT_TRIM_METRICS`."""
+    """One cluster's metrics plus ``p_min``, the lower of its precision and recall."""
 
     cluster: int
     recall: float
@@ -62,12 +61,11 @@ class ClusterMetrics:
 def confusion_counts(
     predictions: Sequence[np.ndarray] | np.ndarray,
     targets: Sequence[np.ndarray] | np.ndarray,
-    threshold: float = DEFAULT_THRESHOLD,
 ) -> ConfusionCounts:
     """Pool per-(sample, genre) decisions into one confusion quadruple.
 
     Predictions (float32 in the pipeline) and targets (uint8) are compared
-    in their own dtypes, where the default threshold 0.5 is exact.  A NaN
+    in their own dtypes, where :data:`DEFAULT_THRESHOLD` 0.5 is exact.  A NaN
     or infinite prediction raises :class:`NonFinitePrediction`, not a "no".
     """
     preds = np.asarray(predictions)
@@ -77,7 +75,7 @@ def confusion_counts(
     finite = np.count_nonzero(np.isfinite(preds))
     if finite != preds.size:
         raise NonFinitePrediction(preds.size - finite, preds.size)
-    yes = preds > threshold
+    yes = preds > DEFAULT_THRESHOLD
     actual = targs > 0.5
     tp = int(np.sum(yes & actual))
     fp = int(np.sum(yes & ~actual))
@@ -100,16 +98,15 @@ def metrics(c: ConfusionCounts) -> Metrics:
 
 
 def cluster_metrics(cluster: int, counts: ConfusionCounts) -> ClusterMetrics:
-    """Metrics for one cluster, with p_min over :data:`DEFAULT_TRIM_METRICS`."""
+    """Metrics for one cluster, with its p_min."""
     m = metrics(counts)
-    p_min = min(getattr(m, name) for name in DEFAULT_TRIM_METRICS)
     return ClusterMetrics(
         cluster,
         m.recall,
         m.precision,
         m.accuracy,
         m.f1,
-        p_min,
+        min(m.precision, m.recall),
         n_samples=counts.total // N_GENRES,
     )
 
@@ -172,22 +169,14 @@ def apply_trim_to_dataset(samples: Dataset, zeroed: Iterable[int]) -> tuple[Data
     return Dataset(steps[keep], targets[keep]), int(np.count_nonzero(~keep))
 
 
-def mean_cluster_metrics(
-    values: Sequence[ClusterMetrics], weighted: bool = False
-) -> Metrics:
-    """Mean per metric over clusters; optionally weighted by sample count."""
+def mean_cluster_metrics(values: Sequence[ClusterMetrics]) -> Metrics:
+    """Plain mean per metric over clusters, summed as 1/n-weighted values (the reports' rounding)."""
     if not values:
         return Metrics(0.0, 0.0, 0.0, 0.0)
-    if weighted:
-        weights = np.array([max(v.n_samples, 0) for v in values], dtype=np.float64)
-        if weights.sum() == 0:
-            weights = np.ones(len(values))
-    else:
-        weights = np.ones(len(values))
-    weights = weights / weights.sum()
+    w = 1.0 / len(values)
     return Metrics(
-        float(sum(w * v.recall for w, v in zip(weights, values))),
-        float(sum(w * v.precision for w, v in zip(weights, values))),
-        float(sum(w * v.accuracy for w, v in zip(weights, values))),
-        float(sum(w * v.f1 for w, v in zip(weights, values))),
+        float(sum(w * v.recall for v in values)),
+        float(sum(w * v.precision for v in values)),
+        float(sum(w * v.accuracy for v in values)),
+        float(sum(w * v.f1 for v in values)),
     )

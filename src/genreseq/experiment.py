@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -86,7 +87,6 @@ class ExperimentConfig:
     out_dir: str | Path | None = None
     max_users: int | None = None
     dump_transitions: bool = False
-    weighted_means: bool = False
 
 
 @dataclass(frozen=True)
@@ -241,13 +241,11 @@ def _fit_and_score(
     return scores
 
 
-def _summary(
-    scores: dict[int, ClusterMetrics], weighted: bool
-) -> list[tuple[str, ClusterMetrics | Metrics]]:
+def _summary(scores: dict[int, ClusterMetrics]) -> list[tuple[str, ClusterMetrics | Metrics]]:
     """(cluster, metrics) of the best and the worst cluster by F1, then of the mean."""
     best = min(scores, key=lambda c: (-scores[c].f1, c))
     worst = min(scores, key=lambda c: (scores[c].f1, c))
-    mean = mean_cluster_metrics(list(scores.values()), weighted)
+    mean = mean_cluster_metrics(list(scores.values()))
     return [(str(best), scores[best]), (str(worst), scores[worst]), ("mean", mean)]
 
 
@@ -316,7 +314,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             fitted |= _fit_and_score(tested, cell, config)
             scores = {mode: {g: fitted[g, mode] for g in groups if (g, mode) in fitted} for mode in modes}
             bc = {mode: scores[mode].pop(-1) for mode in modes}
-            ac = {mode: _summary(scores[mode], config.weighted_means) for mode in modes}
+            ac = {mode: _summary(scores[mode]) for mode in modes}
             selected = {mode: select_trim_clusters(scores[mode].values(), config.eta) for mode in modes}
 
             # AT retrains every selected cluster, each for the modes that
@@ -344,7 +342,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
 
             for mode in modes:
                 tags = (cell.value, mode.value)
-                _, at_worst, at_mean = _summary(at[mode], config.weighted_means)
+                _, at_worst, at_mean = _summary(at[mode])
                 ac_best, ac_worst, ac_mean = ac[mode]
                 tables[tags] = (
                     ("all", bc[mode]), ac_best, ac_worst, ac_mean, ac_mean, ac_worst, at_worst, at_mean
@@ -365,10 +363,14 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     return report
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, write: Callable[[Path], object]) -> None:
+    """``write`` a temporary file, then rename it to ``path``; no temporary outlives a failure."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def report_csv_text(report: EvalReport) -> str:
@@ -383,40 +385,16 @@ def emit_report(
     report: EvalReport,
     out_dir: str | Path,
     transitions: dict[str, np.ndarray] | None = None,
-) -> list[Path]:
+) -> None:
     """Write report.csv / report.json (and matrix dumps) atomically."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    csv_path = out / "report.csv"
-    _atomic_write(csv_path, report_csv_text(report))
-    written.append(csv_path)
-
     records = [
         {n: round(getattr(r, n), 4) if metric else getattr(r, n) for n, metric in _COLUMNS}
         for r in report.rows
     ]
-    json_path = out / "report.json"
-    _atomic_write(json_path, json.dumps(records, indent=2) + "\n")
-    written.append(json_path)
-
+    texts = {"report.csv": report_csv_text(report), "report.json": json.dumps(records, indent=2) + "\n"}
+    for name, text in texts.items():
+        _atomic_write(out / name, lambda tmp: tmp.write_text(text, encoding="utf-8"))
     for name, probs in (transitions or {}).items():
-        path = out / f"transitions_{name}.csv"
-        tmp = path.with_name(path.name + ".tmp")
-        write_probability_csv(probs, tmp)
-        os.replace(tmp, path)
-        written.append(path)
-    return written
-
-
-def read_report_csv(path: str | Path) -> tuple[ReportRow, ...]:
-    """Parse a report.csv back into rows (values at written precision)."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not lines or lines[0] != REPORT_HEADER:
-        raise ValueError("not a report.csv file")
-    rows = []
-    for line in lines[1:]:
-        values = zip(_COLUMNS, line.split(","), strict=True)
-        rows.append(ReportRow(*(float(v) if metric else v for (_, metric), v in values)))
-    return tuple(rows)
+        _atomic_write(out / f"transitions_{name}.csv", lambda tmp: write_probability_csv(probs, tmp))

@@ -59,15 +59,12 @@ from __future__ import annotations
 import enum
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyDataset, ShapeMismatch
 from .genres import N_GENRES
 from .transitions import Dataset
-
-CHECKPOINT_FORMAT_VERSION = 1
 
 _EPS = 1e-7
 
@@ -623,29 +620,3 @@ def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarra
         offset += v.size
     return views
 
-
-def save_checkpoint(params: NetParams, path: str | Path) -> Path:
-    """Write parameters as a versioned .npz archive (row-major arrays)."""
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(path.suffix + ".npz")
-    arrays = {f"weight_{k}": v for k, v in params.weights.items()}
-    arrays["format_version"] = np.int64(CHECKPOINT_FORMAT_VERSION)
-    arrays["cell"] = np.array(params.cell.value)
-    arrays["dims"] = np.array([params.input_dim, params.hidden_dim, params.output_dim], dtype=np.int64)
-    np.savez(path, **arrays)
-    return path
-
-
-def load_checkpoint(path: str | Path) -> NetParams:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        cell = CellKind(str(data["cell"]))
-        input_dim, hidden_dim, output_dim = (int(v) for v in data["dims"])
-        weights = {
-            k[len("weight_") :]: data[k] for k in data.files if k.startswith("weight_")
-        }
-    return NetParams(cell, input_dim, hidden_dim, output_dim, weights)

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from genreseq.experiment import _COLUMNS, REPORT_HEADER, ReportRow
 from genreseq.ingest import Users
 from genreseq.genres import encode_genres
 from genreseq.nets import CellKind, _views, bce_loss, forward_sequence
@@ -538,6 +539,22 @@ def transition_counts_oracle(users):
                 for j in cur:
                     counts[i, j] += 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# report parsing
+
+
+def read_report_csv(path: str | Path) -> tuple[ReportRow, ...]:
+    """Parse a report.csv back into rows (values at written precision)."""
+    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    if not lines or lines[0] != REPORT_HEADER:
+        raise ValueError("not a report.csv file")
+    rows = []
+    for line in lines[1:]:
+        values = zip(_COLUMNS, line.split(","), strict=True)
+        rows.append(ReportRow(*(float(v) if metric else v for (_, metric), v in values)))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from genreseq.clustering import (
-    ClusterModel,
-    assign_cluster,
-    kmeans,
-    rating_profile,
-)
+from genreseq.clustering import kmeans, rating_profile
 from genreseq.errors import TooFewUsers
 from genreseq.experiment import _PROFILE_ROWS, _profiles
 from genreseq.genres import genre_index
@@ -134,30 +129,3 @@ class TestKMeans:
             dists = [np.sum((prof - c) ** 2) for c in model.centroids]
             assert label == int(np.argmin(dists))
 
-
-class TestAssignCluster:
-    def make_model(self, centroids):
-        return ClusterModel(
-            k=len(centroids),
-            centroids=np.asarray(centroids, dtype=float),
-            labels=np.zeros(0, dtype=np.intp),
-            inertia=0.0,
-            inertia_history=(),
-        )
-
-    def test_exact_centroid(self):
-        model = self.make_model([pad(0.0), pad(1.0), pad(2.0)])
-        assert assign_cluster(pad(2.0), model) == 2
-
-    def test_tie_goes_to_lowest_index(self):
-        model = self.make_model([pad(0.0), pad(2.0)])
-        assert assign_cluster(pad(1.0), model) == 0
-
-    def test_matches_linear_scan(self):
-        rng = np.random.default_rng(8)
-        centroids = rng.uniform(0, 5, size=(6, 19))
-        model = self.make_model(centroids)
-        for _ in range(25):
-            values = rng.uniform(0, 5, size=19)
-            expected = int(np.argmin([np.sum((values - c) ** 2) for c in centroids]))
-            assert assign_cluster(values, model) == expected

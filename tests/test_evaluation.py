@@ -26,7 +26,7 @@ class TestConfusionCounts:
         assert (c.tp, c.fp, c.fn, c.tn) == (1, 0, 0, 1)
 
     def test_tie_is_negative(self):
-        c = confusion_counts([[0.5, 0.5]], [[1.0, 0.0]], threshold=0.5)
+        c = confusion_counts([[0.5, 0.5]], [[1.0, 0.0]])
         assert (c.tp, c.fp, c.fn, c.tn) == (0, 0, 1, 1)
 
     def test_length_mismatch(self):
@@ -351,11 +351,6 @@ class TestMeanClusterMetrics:
         values = self.build([0.2, 0.4, 0.9], [10, 10, 1000])
         m = mean_cluster_metrics(values)
         assert m.f1 == pytest.approx(0.5)
-
-    def test_weighted(self):
-        values = self.build([0.0, 1.0], [1, 3])
-        m = mean_cluster_metrics(values, weighted=True)
-        assert m.f1 == pytest.approx(0.75)
 
     def test_empty(self):
         m = mean_cluster_metrics([])

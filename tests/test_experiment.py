@@ -1,12 +1,13 @@
 import json
 import math
 from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from genreseq import experiment, nets
-from genreseq.cli import _CONFIG_KEYS, _build_parser, main
+from genreseq.cli import _CONFIG_KEYS, _build_parser, build_config, main
 from genreseq.datagen import write_archetype_dataset
 from genreseq.errors import EmptyDataset
 from genreseq.experiment import (
@@ -16,7 +17,6 @@ from genreseq.experiment import (
     ReportRow,
     derive_seed,
     emit_report,
-    read_report_csv,
     report_csv_text,
     run_experiment,
     split_users,
@@ -25,7 +25,7 @@ from genreseq.ingest import SyntheticSpec
 from genreseq.nets import CellKind, TrainConfig
 from genreseq.transitions import FeatureMode
 
-from .helpers import random_users
+from .helpers import random_users, read_report_csv
 
 
 def sequences(n, seed=0):
@@ -148,6 +148,20 @@ class TestEmitReport:
         emit_report(report_of([self.row]), tmp_path, {"all": probs, "0": probs})
         assert (tmp_path / "transitions_all.csv").exists()
         assert (tmp_path / "transitions_0.csv").exists()
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_rename_leaves_old_report_and_no_tmp(self, tmp_path, monkeypatch):
+        emit_report(report_of([self.row]), tmp_path)
+        old = (tmp_path / "report.csv").read_text()
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(experiment.os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            emit_report(report_of([replace(self.row, recall=0.25)]), tmp_path)
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert (tmp_path / "report.csv").read_text() == old
 
 
 def small_config(tmp_path=None, **overrides):
@@ -180,27 +194,15 @@ class TestRunExperiment:
 
     def test_ac_mean_matches_cluster_details(self, tmp_path):
         report = run_experiment(small_config(tmp_path))
-        details = report.ac_metrics[("RNN", "Product")]
-        mean_row = report.get("RNN", "Product", "AC-mean")
-        assert mean_row.recall == pytest.approx(np.mean([d.recall for d in details]))
-        assert mean_row.precision == pytest.approx(np.mean([d.precision for d in details]))
-        assert mean_row.accuracy == pytest.approx(np.mean([d.accuracy for d in details]))
-        assert mean_row.f1 == pytest.approx(np.mean([d.f1 for d in details]))
-
-    def test_weighted_means_weight_by_test_samples(self, tmp_path):
-        details = {}
-        for weighted in (False, True):
-            report = run_experiment(small_config(tmp_path, weighted_means=weighted))
-            for stage, per_cluster in (("AC-mean", report.ac_metrics), ("AT-mean", report.at_metrics)):
-                cluster_rows = per_cluster[("RNN", "Product")]
-                weights = [d.n_samples if weighted else 1 for d in cluster_rows]
-                row = report.get("RNN", "Product", stage)
-                for name in ("recall", "precision", "accuracy", "f1"):
-                    values = [getattr(d, name) for d in cluster_rows]
-                    assert getattr(row, name) == pytest.approx(np.average(values, weights=weights))
-            details[weighted] = report.ac_metrics[("RNN", "Product")]
-        assert details[False] == details[True]
-        assert len({d.n_samples for d in details[True]}) > 1
+        key = ("RNN", "Product")
+        # The config retrains a cluster, so the AT details differ from AC's.
+        assert report.at_metrics[key] != report.ac_metrics[key]
+        for stage, details in (("AC-mean", report.ac_metrics[key]), ("AT-mean", report.at_metrics[key])):
+            mean_row = report.get(*key, stage)
+            assert mean_row.recall == pytest.approx(np.mean([d.recall for d in details]))
+            assert mean_row.precision == pytest.approx(np.mean([d.precision for d in details]))
+            assert mean_row.accuracy == pytest.approx(np.mean([d.accuracy for d in details]))
+            assert mean_row.f1 == pytest.approx(np.mean([d.f1 for d in details]))
 
     def test_best_worst_selected_by_f1(self, tmp_path):
         report = run_experiment(small_config(tmp_path))
@@ -546,8 +548,37 @@ class TestCli:
         assert main(["--config", str(cfg)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("k", None), ("cells", 5), ("max_users", "fifty"), ("out", 5), ("modes", ["Bogus"])],
+        ids=["k-null", "cells-5", "max_users-fifty", "out-5", "modes-Bogus"],
+    )
+    def test_wrongly_typed_config_is_diagnosed(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "config.json"
+        settings = {"synthetic_users": 90, "k": 3, "epochs": 1, "out": str(tmp_path), key: value}
+        cfg.write_text(json.dumps(settings))
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key!r}: ") and err.count("\n") == 1
+        assert not (tmp_path / "report.csv").exists()
+
 
 def test_every_flag_stores_under_its_config_key():
     # The CLI merges parsed flags into the config settings by dest name.
     flags = set(vars(_build_parser().parse_args([]))) - {"config"}
     assert flags <= set(_CONFIG_KEYS)
+
+
+def test_default_settings_build_the_dataclass_defaults():
+    config = build_config(dict(_CONFIG_KEYS, synthetic_users=90))
+    assert config.synthetic.n_users == 90
+    for f in fields(ExperimentConfig):
+        if f.name != "synthetic":
+            assert getattr(config, f.name) == getattr(ExperimentConfig(), f.name), f.name
+    for f in fields(TrainConfig):
+        assert getattr(config.train, f.name) == getattr(TrainConfig(), f.name), f.name
+
+
+def test_config_numbers_given_as_strings_are_cast():
+    config = build_config(dict(_CONFIG_KEYS, synthetic_users="90", k="3", max_users="50"))
+    assert (config.synthetic.n_users, config.k, config.max_users) == (90, 3, 50)

@@ -19,12 +19,11 @@ from genreseq import (
     ExperimentConfig,
     FeatureMode,
     TrainConfig,
-    read_report_csv,
     run_experiment,
     write_archetype_dataset,
 )
 
-from .helpers import requires_pinned_build
+from .helpers import read_report_csv, requires_pinned_build
 
 # Recorded on helpers.PINNED_BUILD.
 GOLDEN_REPORT_SHA256 = "2a6607ac03d7e95ce743d487f8f2d16e0692d8a1271d7039a0c4e8ccf0cf215a"

@@ -27,10 +27,8 @@ from genreseq.nets import (
     bce_loss,
     forward_sequence,
     init_params,
-    load_checkpoint,
     parameter_shapes,
     predict,
-    save_checkpoint,
     train,
 )
 from genreseq.transitions import Dataset
@@ -842,29 +840,3 @@ class TestPredict:
         assert same_bits(predict(params, x), forward_sequence(x, params)[0])
         assert predict(params, np.zeros((0, 4, D))).shape == (0, 19)
 
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        # Trained params hold views into one flat buffer; fresh ones do not.
-        cfg = TrainConfig(epochs=3, batch_size=16, hidden_dim=H, seed=5)
-        for cell in CellKind:
-            for tag, params in (
-                ("fresh", random_params(cell, seed=54)),
-                ("trained", train_one(small_dataset(), cell, cfg).params),
-            ):
-                path = save_checkpoint(params, tmp_path / f"{tag}_{cell.value.lower()}.npz")
-                loaded = load_checkpoint(path)
-                assert loaded.cell == params.cell
-                assert (loaded.input_dim, loaded.hidden_dim, loaded.output_dim) == (D, H, 19)
-                assert set(loaded.weights) == set(params.weights)
-                for key in params.weights:
-                    assert loaded.weights[key].dtype == params.weights[key].dtype
-                    assert same_bits(loaded.weights[key], params.weights[key])
-                x = np.random.default_rng(54).uniform(0, 1, (4, D))
-                assert np.array_equal(predict(params, x), predict(loaded, x))
-
-    def test_suffix_added(self, tmp_path):
-        params = random_params(CellKind.RNN, seed=55)
-        path = save_checkpoint(params, tmp_path / "model")
-        assert path.suffix == ".npz"
-        assert path.exists()
