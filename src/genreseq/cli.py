@@ -106,6 +106,8 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     settings = dict(_CONFIG_KEYS)
     if args.config:
         loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} does not hold a JSON object")
         unknown = set(loaded) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -126,9 +128,28 @@ def _value(settings: dict, key: str, kind: Callable):
         raise ValueError(f"config key {key!r}: {exc}") from None
 
 
+def _whole(value) -> int:
+    """``int(value)`` for a whole number or a numeric string; a fraction or a boolean is refused."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def build_config(settings: dict) -> ExperimentConfig:
-    seed = _value(settings, "seed", int)
-    n_users = _value(settings, "synthetic_users", int)
+    seed = _value(settings, "seed", _whole)
+    n_users = _value(settings, "synthetic_users", _whole)
     synthetic = None
     if n_users is not None:
         synthetic = SyntheticSpec(
@@ -138,29 +159,29 @@ def build_config(settings: dict) -> ExperimentConfig:
             seed=derive_seed(seed, "synthetic"),
         )
     train = TrainConfig(
-        learning_rate=_value(settings, "learning_rate", float),
-        momentum=_value(settings, "momentum", float),
-        epochs=_value(settings, "epochs", int),
-        batch_size=_value(settings, "batch_size", int),
-        hidden_dim=_value(settings, "hidden_dim", int),
-        init_scale=_value(settings, "init_scale", float),
+        learning_rate=_value(settings, "learning_rate", _real),
+        momentum=_value(settings, "momentum", _real),
+        epochs=_value(settings, "epochs", _whole),
+        batch_size=_value(settings, "batch_size", _whole),
+        hidden_dim=_value(settings, "hidden_dim", _whole),
+        init_scale=_value(settings, "init_scale", _real),
         seed=seed,
     )
     return ExperimentConfig(
         ratings_path=_value(settings, "ratings", os.fspath),
         movies_path=_value(settings, "movies", os.fspath),
         synthetic=synthetic,
-        k=_value(settings, "k", int),
-        eta=_value(settings, "eta", float),
-        theta=_value(settings, "theta", float),
+        k=_value(settings, "k", _whole),
+        eta=_value(settings, "eta", _real),
+        theta=_value(settings, "theta", _real),
         cells=_value(settings, "cells", lambda cells: tuple(CellKind(c) for c in cells)),
         modes=_value(settings, "modes", lambda modes: tuple(FeatureMode(m) for m in modes)),
         train=train,
-        split_fraction=_value(settings, "split", float),
+        split_fraction=_value(settings, "split", _real),
         seed=seed,
         out_dir=_value(settings, "out", os.fspath),
-        max_users=_value(settings, "max_users", int),
-        dump_transitions=bool(settings["dump_transitions"]),
+        max_users=_value(settings, "max_users", _whole),
+        dump_transitions=_value(settings, "dump_transitions", _boolean),
     )
 
 

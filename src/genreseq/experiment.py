@@ -64,13 +64,14 @@ STAGES = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs; all randomness flows from ``seed``.
 
-    ``train.seed`` has no effect on a run: :func:`run_experiment` replaces
-    it with each fit's seed, derived from ``seed``, the fit's role, the
-    cell and the feature mode.
+    A bad value raises ``ValueError`` when the config is built; the data
+    source is checked when :func:`run_experiment` reads it.  ``train.seed``
+    has no effect on a run: the run replaces it with each fit's seed,
+    derived from ``seed``, the fit's role, the cell and the feature mode.
     """
 
     ratings_path: str | Path | None = None
@@ -87,6 +88,21 @@ class ExperimentConfig:
     out_dir: str | Path | None = None
     max_users: int | None = None
     dump_transitions: bool = False
+
+    def __post_init__(self):
+        for name, values in (("cells", self.cells), ("modes", self.modes)):
+            if not values:
+                raise ValueError(f"no {name} given")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeat: {', '.join(v.value for v in values)}")
+        for name, flag in (("eta", "eta"), ("theta", "theta"), ("split_fraction", "split")):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} (--{flag}) must be in (0, 1), got {value}")
+        for name, flag in (("k", "k"), ("max_users", "max-users")):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} (--{flag}) must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -173,23 +189,6 @@ def _load_users(config: ExperimentConfig) -> tuple[Users, dict[str, int]]:
     }
 
 
-def _check_config(config: ExperimentConfig) -> None:
-    """Reject a bad config value before any data is read or any model fit."""
-    for name, values in (("cells", config.cells), ("modes", config.modes)):
-        if not values:
-            raise ValueError(f"no {name} given")
-        if len(set(values)) < len(values):
-            raise ValueError(f"{name} repeat: {', '.join(v.value for v in values)}")
-    for name, flag in (("eta", "eta"), ("theta", "theta"), ("split_fraction", "split")):
-        value = getattr(config, name)
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"{name} (--{flag}) must be in (0, 1), got {value}")
-    for name, flag in (("k", "k"), ("max_users", "max-users")):
-        value = getattr(config, name)
-        if value is not None and value < 1:
-            raise ValueError(f"{name} (--{flag}) must be >= 1, got {value}")
-
-
 def _subsample(users: Users, config: ExperimentConfig) -> Users:
     if config.max_users is None or len(users) <= config.max_users:
         return users
@@ -257,13 +256,13 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     ``movies_skipped_no_genre`` and ``users_dropped`` (fewer than five
     rated movies with genres).
     """
-    _check_config(config)
     users, funnel = _load_users(config)
     users = _subsample(users, config)
     funnel["users_after_max_users"] = len(users)
 
     points = _profiles(users)
     cmodel: ClusterModel = kmeans(points, config.k, seed=derive_seed(config.seed, "kmeans"))
+    del points
     clusters = np.unique(cmodel.labels).tolist()
 
     # Group -1 holds every user (BC); group c holds cluster c (AC, and AT

@@ -75,7 +75,7 @@ class CellKind(enum.Enum):
     GRU = "GRU"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for the seeded training loop."""
 

@@ -1,7 +1,8 @@
 import json
 import math
+import weakref
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -342,6 +343,35 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="repeat"):
             run_experiment(small_config(**overrides))
 
+    @pytest.mark.parametrize(
+        "config, name, value",
+        [(ExperimentConfig(), "k", 0), (ExperimentConfig(), "train", None), (TrainConfig(), "epochs", 0)],
+    )
+    def test_built_config_cannot_change(self, config, name, value):
+        # A config is checked once, when built, so it stays as checked.
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, value)
+
+    def test_profiles_dropped_after_kmeans(self, monkeypatch):
+        # The (n, 19) rating profiles are freed once k-means has run, so no
+        # fit holds them.
+        profiles, alive = [], []
+        kmeans_, train_ = experiment.kmeans, experiment.train
+
+        def cluster(points, *args, **kwargs):
+            profiles.append(weakref.ref(points))
+            return kmeans_(points, *args, **kwargs)
+
+        def fit(*args):
+            alive.append(profiles[0]() is not None)
+            return train_(*args)
+
+        monkeypatch.setattr(experiment, "kmeans", cluster)
+        monkeypatch.setattr(experiment, "train", fit)
+        run_experiment(small_config())
+        assert len(profiles) == 1
+        assert alive and not any(alive)
+
     @pytest.mark.parametrize("eta", [0.1, 0.9])
     def test_stacked_modes_match_lone_mode_runs(self, eta):
         # Sum, Product and GenreOnly train as one stack, Concat alone; each
@@ -548,10 +578,24 @@ class TestCli:
         assert main(["--config", str(cfg)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["5", "[]", '"k"', "null"])
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys, text):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config file {cfg} does not hold a JSON object\n"
+
     @pytest.mark.parametrize(
         "key, value",
-        [("k", None), ("cells", 5), ("max_users", "fifty"), ("out", 5), ("modes", ["Bogus"])],
-        ids=["k-null", "cells-5", "max_users-fifty", "out-5", "modes-Bogus"],
+        [
+            ("k", None), ("cells", 5), ("max_users", "fifty"), ("out", 5), ("modes", ["Bogus"]),
+            ("dump_transitions", "false"), ("k", 3.7), ("epochs", 2.5), ("k", True), ("learning_rate", True),
+        ],
+        ids=[
+            "k-null", "cells-5", "max_users-fifty", "out-5", "modes-Bogus",
+            "dump_transitions-false-string", "k-3.7", "epochs-2.5", "k-true", "learning_rate-true",
+        ],
     )
     def test_wrongly_typed_config_is_diagnosed(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "config.json"
@@ -577,6 +621,11 @@ def test_default_settings_build_the_dataclass_defaults():
             assert getattr(config, f.name) == getattr(ExperimentConfig(), f.name), f.name
     for f in fields(TrainConfig):
         assert getattr(config.train, f.name) == getattr(TrainConfig(), f.name), f.name
+
+
+def test_whole_floats_and_booleans_cast_to_their_keys():
+    config = build_config(dict(_CONFIG_KEYS, synthetic_users=90, k=3.0, dump_transitions=True))
+    assert (config.k, type(config.k), config.dump_transitions) == (3, int, True)
 
 
 def test_config_numbers_given_as_strings_are_cast():
