@@ -105,7 +105,10 @@ def _default_planted(seed: int) -> np.ndarray:
 def _merge_settings(args: argparse.Namespace) -> dict:
     settings = dict(_CONFIG_KEYS)
     if args.config:
-        loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file {args.config} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {args.config} does not hold a JSON object")
         unknown = set(loaded) - set(_CONFIG_KEYS)
@@ -191,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = build_config(_merge_settings(args))
         report = run_experiment(config)
-    except (GenreSeqError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (GenreSeqError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     width = max(len(r.stage) for r in report.rows)

@@ -22,15 +22,20 @@ unrolled through time; the tests check each against finite differences.
 :func:`forward_sequence` and :func:`backward` are the cell API (one step
 is a 1-step sequence); the per-cell kernels are private to them.  The
 gated cells read each step's ``[h_{t-1}, x_t]`` from one buffer ``zs`` of
-(T + 1, ..., B, h + d) and write h_t into it.  A step's gates are one
-block: the LSTM's (..., 4, B, h) in the order f, i, o, g, with one bias
-add, one sigmoid and one tanh; the GRU's z, r (..., 2, B, h) with one
-sigmoid.  Each gate's GEMM runs NN on a contiguous copy of its matrix's
-transpose, made once per call, and ``backward`` multiplies ``dz`` by
-contiguous copies of only the first h columns, the only ones ``dh``
-reads.  A fused all-gate GEMM and a batch-major gate block were measured
-slower.  The RNN computes U x_t for all T steps as one batched matmul:
-one GEMM per (step, model) on a per-step call's operands, so the same bits.
+(T + 1, ..., B, h + d) and write h_t into it; the GRU writes each step's
+[r_t * h_{t-1}, x_t] into a (T, ..., B, h + d) buffer.  A step's gates
+are one block: the LSTM's (..., 4, B, h) in the order f, i, o, g, with
+one bias add, one sigmoid and one tanh; the GRU's z, r (..., 2, B, h)
+with one sigmoid.  Each gate's GEMM runs NN on a contiguous copy of its
+matrix's transpose, made once per call, and ``backward`` multiplies
+``dz`` by contiguous copies of only the first h columns, the only ones
+``dh`` reads.  A fused all-gate GEMM and a batch-major gate block were
+measured slower.  The RNN computes U x_t for all T steps as one batched
+matmul: one GEMM per (step, model) on a per-step call's operands, so the
+same bits.  Walking t down, ``backward`` writes each step's
+pre-activation gradients into a (T, ...) buffer; after the loop it sums
+each weight's and bias's per-step terms, last step first, as the walk
+would add them.
 
 Kernel arrays take the params' dtype.  :func:`train` runs in float32 (its
 float64 init cast once), so trained params predict in float32; float64
@@ -88,14 +93,14 @@ class TrainConfig:
     init_scale: float = 0.1
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1 or self.hidden_dim < 1:
             raise ValueError("epochs, batch_size and hidden_dim must be positive")
-        if self.init_scale <= 0:
-            raise ValueError("init_scale must be > 0")
+        if not 0 < self.init_scale < np.inf:
+            raise ValueError(f"init_scale must be finite and > 0, got {self.init_scale}")
 
 
 @dataclass
@@ -218,7 +223,7 @@ def _lstm_cell(
     """LSTM update on ``zcat`` = [h_{t-1}, x_t]: h_t into ``out``.
 
     ``wt`` holds the gate matrices' transposes in gate-block order.  Returns
-    c_t and ``(zcat, c_prev, a, tanh_c)``, ``a`` the gate block f, i, o, g.
+    c_t and ``(c_prev, a, tanh_c)``, ``a`` the gate block f, i, o, g.
     """
     a = np.empty_like(bias)
     for k, m in enumerate(wt):
@@ -231,14 +236,15 @@ def _lstm_cell(
     c += i * g
     tanh_c = np.tanh(c)
     np.multiply(o, tanh_c, out=out)
-    return c, (zcat, c_prev, a, tanh_c)
+    return c, (c_prev, a, tanh_c)
 
 
-def _gru_cell(zcat: np.ndarray, wt: Sequence[np.ndarray], out: np.ndarray) -> tuple:
+def _gru_cell(zcat: np.ndarray, wt: Sequence[np.ndarray], out: np.ndarray, acat: np.ndarray) -> tuple:
     """GRU update on ``zcat`` = [h_{t-1}, x_t]: h_t into ``out``.
 
-    ``wt`` holds the transposes of W_z, W_r and W.  Returns ``(zcat, acat,
-    a, hbar)``, ``a`` the gate block z, r and ``acat`` = [r * h_{t-1}, x_t].
+    ``wt`` holds the transposes of W_z, W_r and W.  ``acat`` holds x_t in
+    its last d columns on entry and [r * h_{t-1}, x_t] on return.  Returns
+    ``(a, hbar)``, ``a`` the gate block z, r.
     """
     hidden = out.shape[-1]
     h_prev = zcat[..., :hidden]
@@ -247,12 +253,11 @@ def _gru_cell(zcat: np.ndarray, wt: Sequence[np.ndarray], out: np.ndarray) -> tu
     np.matmul(zcat, wt[1], out=a[..., 1, :, :])
     _sigmoid(a, out=a)
     z, r = a[..., 0, :, :], a[..., 1, :, :]
-    acat = zcat.copy()
     np.multiply(r, h_prev, out=acat[..., :hidden])
     hbar = acat @ wt[2]
     np.tanh(hbar, out=hbar)
     np.add((1.0 - z) * h_prev, z * hbar, out=out)
-    return zcat, acat, a, hbar
+    return a, hbar
 
 
 def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray, dict]:
@@ -288,12 +293,13 @@ def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray,
         w = {**w, "b": _rows(w["b"], batch)}
         for t in range(steps):
             _rnn_cell(hs[t] if t else None, w, hs[t + 1])
-        acts = []
+        acts, cache = [], {}
     else:
         # zs[t] is [hs[t], xs[t]]; the gate GEMMs read the zeros of h_0.
         zs = np.zeros((steps + 1, *stack, batch, hidden + params.input_dim), x.dtype)
         zs[:-1, ..., hidden:] = xs
         hs = zs[..., :hidden]
+        cache = {"zcat": zs[:-1]}
         if params.cell is CellKind.LSTM:
             wt = _transposed(w, _LSTM_MATRICES)
             bias = _gate_bias(w, batch)
@@ -304,12 +310,14 @@ def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray,
                 acts.append(a)
         else:
             wt = _transposed(w, _GRU_MATRICES)
-            acts = [_gru_cell(zs[t], wt, hs[t + 1]) for t in range(steps)]
+            cache["acat"] = np.empty_like(zs[:-1])  # row t is [r_t * hs[t], xs[t]]
+            cache["acat"][..., hidden:] = xs
+            acts = [_gru_cell(zs[t], wt, hs[t + 1], cache["acat"][t]) for t in range(steps)]
 
     z = hs[-1] @ w["V"].swapaxes(-1, -2)
     z += w["b_out"][..., None, :]
     y = _sigmoid(z, out=z)
-    return (y[0] if single else y), {"xs": xs, "h": hs, "y": y, "acts": acts}
+    return (y[0] if single else y), {"xs": xs, "h": hs, "y": y, "acts": acts, **cache}
 
 
 def _rows(v: np.ndarray, n: int) -> np.ndarray:
@@ -354,20 +362,6 @@ def _sum_steps(out: np.ndarray, dz: np.ndarray, inputs: np.ndarray | None = None
     np.add.reduce(terms, axis=0, out=out)
 
 
-def _add_step(out: np.ndarray, first: bool, dz: np.ndarray, inputs: np.ndarray | None = None) -> None:
-    """``out = term`` when ``first``, else ``out += term``.
-
-    ``term`` is ``dz.T @ inputs``, or ``dz.sum(axis=-2)`` without ``inputs``.
-    """
-    dst = out if first else None
-    if inputs is None:
-        term = np.add.reduce(dz, axis=-2, out=dst)
-    else:
-        term = np.matmul(dz.swapaxes(-1, -2), inputs, out=dst)
-    if not first:
-        out += term
-
-
 def backward(
     cache: dict, target: np.ndarray, params: NetParams, out: dict[str, np.ndarray] | None = None
 ) -> dict[str, np.ndarray]:
@@ -383,7 +377,6 @@ def backward(
     grads = {k: np.empty_like(v) for k, v in w.items()} if out is None else out
     xs = cache["xs"]
     steps = len(xs)
-    hidden = params.hidden_dim
     y = cache["y"]
     target = np.asarray(target, dtype=y.dtype).reshape(y.shape)
 
@@ -393,10 +386,8 @@ def backward(
     np.add.reduce(dz_out, axis=-2, out=grads["b_out"])
     dh = dz_out @ w["V"]
 
-    # Each loop walks t down, skipping the dead t = 0 work.  The RNN keeps
-    # every step's dz and sums its weight terms after the loop; the gated
-    # cells add each term as they go (stacking them was no faster and
-    # raised peak memory at large batches).
+    # Each loop walks t down, skipping the dead t = 0 work, and writes step t's
+    # pre-activation gradients into row t; _sum_steps then writes each weight.
     if params.cell is CellKind.RNN:
         dz = np.square(hs[1:])
         np.subtract(1.0, dz, out=dz)  # 1 - h_t^2, then dz_t in place
@@ -410,59 +401,54 @@ def backward(
     elif params.cell is CellKind.LSTM:
         wh = _hidden_columns(w, _LSTM_MATRICES)
         dc_next = np.zeros_like(dh)
-        db = np.empty((*params.stack, 4, hidden), dh.dtype)  # the bias gradients, gate-block order
+        # dz[t], step t's gate-block gradient: df, di, do times s (1 - s)
+        # for their sigmoid s, then dg (1 - g^2).
+        dz = np.empty((steps, *acts[0][1].shape), dh.dtype)
         for t in range(steps - 1, -1, -1):
-            first = t == steps - 1
-            zcat, c_prev, a, tanh_c = acts[t]
+            c_prev, a, tanh_c = acts[t]
             f, i, o, g = (a[..., k, :, :] for k in range(4))
             dc = dh * o
             dc *= 1.0 - tanh_c**2
             dc += dc_next
-            # dz, the gate block's gradient: df, di, do times s (1 - s) for
-            # their sigmoid s, then dg (1 - g^2).
-            dz = np.empty_like(a)
-            np.multiply(dc, c_prev, out=dz[..., 0, :, :])
-            np.multiply(dc, g, out=dz[..., 1, :, :])
-            np.multiply(dh, tanh_c, out=dz[..., 2, :, :])
+            dz_t = dz[t]
+            np.multiply(dc, c_prev, out=dz_t[..., 0, :, :])
+            np.multiply(dc, g, out=dz_t[..., 1, :, :])
+            np.multiply(dh, tanh_c, out=dz_t[..., 2, :, :])
             s = a[..., :3, :, :]
-            dz[..., :3, :, :] *= s
-            dz[..., :3, :, :] *= 1.0 - s
-            np.multiply(dc, i, out=dz[..., 3, :, :])
-            dz[..., 3, :, :] *= 1.0 - g**2
-            for k, name in enumerate(_LSTM_GATES):
-                _add_step(grads[f"W_{name}"], first, dz[..., k, :, :], zcat)
-            _add_step(db, first, dz)
+            dz_t[..., :3, :, :] *= s
+            dz_t[..., :3, :, :] *= 1.0 - s
+            np.multiply(dc, i, out=dz_t[..., 3, :, :])
+            dz_t[..., 3, :, :] *= 1.0 - g**2
             if t:
-                dh = dz[..., 0, :, :] @ wh[0]
+                dh = dz_t[..., 0, :, :] @ wh[0]
                 for k in range(1, 4):
-                    dh += dz[..., k, :, :] @ wh[k]
+                    dh += dz_t[..., k, :, :] @ wh[k]
                 dc_next = dc * f
         for k, name in enumerate(_LSTM_GATES):
-            grads[f"b_{name}"][...] = db[..., k, :]
+            _sum_steps(grads[f"W_{name}"], dz[..., k, :, :], cache["zcat"])
+            _sum_steps(grads[f"b_{name}"], dz[..., k, :, :])
     else:
         wh_z, wh_r, wh = _hidden_columns(w, _GRU_MATRICES)
+        da, dzz, dzr = np.empty((3, steps, *dh.shape), dh.dtype)  # dzr[0] is unused
         for t in range(steps - 1, -1, -1):
-            first = t == steps - 1
-            zcat, acat, a, hbar = acts[t]
+            a, hbar = acts[t]
             z, r = a[..., 0, :, :], a[..., 1, :, :]
             h_prev = hs[t]
             dhbar = dh * z
             dz_gate = dh * (hbar - h_prev)
-            da = dhbar * (1.0 - hbar**2)
-            _add_step(grads["W"], first, da, acat)
-            dzz = dz_gate * z * (1.0 - z)
-            _add_step(grads["W_z"], first, dzz, zcat)
+            np.multiply(dhbar, 1.0 - hbar**2, out=da[t])
+            np.multiply(dz_gate * z, 1.0 - z, out=dzz[t])
             if t:
                 dh_prev = dh * (1.0 - z)
-                dah = da @ wh
+                dah = da[t] @ wh
                 dr = dah * h_prev
                 dh_prev += dah * r
-                dzr = dr * r * (1.0 - r)
-                _add_step(grads["W_r"], first, dzr, zcat)
-                dh_prev += dzz @ wh_z + dzr @ wh_r
+                np.multiply(dr * r, 1.0 - r, out=dzr[t])
+                dh_prev += dzz[t] @ wh_z + dzr[t] @ wh_r
                 dh = dh_prev
-        if steps == 1:
-            grads["W_r"][...] = 0.0  # h_0 = 0 leaves W_r no term
+        _sum_steps(grads["W"], da, cache["acat"])
+        _sum_steps(grads["W_z"], dzz, cache["zcat"])
+        _sum_steps(grads["W_r"], dzr[1:], cache["zcat"][1:])
     return grads
 
 

@@ -564,6 +564,7 @@ class TestCli:
             (["--split", "1"], "split_fraction (--split) must be in (0, 1), got 1.0"),
             (["--k", "0"], "k (--k) must be >= 1, got 0"),
             (["--synthetic", "0"], "n_users must be >= 1"),
+            (["--learning-rate", "nan"], "learning_rate must be finite and >= 0, got nan"),
         ],
     )
     def test_invalid_run_is_diagnosed(self, tmp_path, capsys, flags, message):
@@ -585,6 +586,24 @@ class TestCli:
         assert main(["--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: config file {cfg} does not hold a JSON object\n"
+
+    def test_config_file_that_is_not_json_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"k": 3,\n')
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: config file {cfg} is not valid JSON: "
+            "Expecting property name enclosed in double quotes: line 2 column 1 (char 9)\n"
+        )
+
+    def test_non_finite_config_value_fails_before_any_fit(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"synthetic_users": 90, "k": 3, "epochs": 1, "out": str(tmp_path), "init_scale": "inf"}))
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: init_scale must be finite and > 0, got inf\n"
+        assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize(
         "key, value",

@@ -77,7 +77,7 @@ def step(cell, x, state, params):
     if cell is CellKind.LSTM:
         c, _ = _lstm_cell(zcat, state[1][None], _transposed(w, _LSTM_MATRICES), _gate_bias(w, 1), h)
         return h[0], c[0]
-    _gru_cell(zcat, _transposed(w, _GRU_MATRICES), h)
+    _gru_cell(zcat, _transposed(w, _GRU_MATRICES), h, zcat.copy())
     return (h[0],)
 
 
@@ -523,6 +523,28 @@ class TestSumSteps:
         _sum_steps(out, np.zeros((0, 7, H)), np.zeros((0, 7, D)))
         assert np.array_equal(out, np.zeros((H, D)))
 
+    def test_gate_slab_of_a_stacked_block(self):
+        # The LSTM's form: dz[..., k, :, :] of a (T, M, 4, B, h) gate block,
+        # against a loop adding each step's term of the whole block as it
+        # walks t down.
+        rng = np.random.default_rng(60)
+        steps, models, batch = 4, 3, 7
+        block = rng.normal(size=(steps, models, 4, batch, H))
+        block *= 10.0 ** rng.integers(-8, 8, size=(steps, models, 4, 1, 1))
+        inputs = rng.normal(size=(steps, models, batch, H + D))
+        for k in range(4):
+            dz = block[..., k, :, :]
+            for args, term in (
+                ((inputs,), lambda t: np.matmul(dz[t].swapaxes(-1, -2), inputs[t])),
+                ((), lambda t: np.add.reduce(block[t], axis=-2)[..., k, :]),
+            ):
+                expected = term(steps - 1)
+                for t in range(steps - 2, -1, -1):
+                    expected += term(t)
+                out = np.full_like(expected, np.nan)
+                _sum_steps(out, dz, *args)
+                assert np.array_equal(out.view(np.uint64), expected.view(np.uint64)), k
+
 
 class TestTrain:
     def test_overfits_repeated_sample(self):
@@ -566,6 +588,11 @@ class TestTrain:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(init_scale=0.0)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="learning_rate must be finite"):
+                TrainConfig(learning_rate=value)
+            with pytest.raises(ValueError, match="init_scale must be finite"):
+                TrainConfig(init_scale=value)
 
 
 def weights_sha256(params):
@@ -801,6 +828,10 @@ class TestDtype:
             assert y.dtype == cache["h"].dtype == cache["xs"].dtype == np.float64
             for act in cache["acts"]:
                 assert {a.dtype for a in act} == {np.dtype(np.float64)}
+            buffers = {CellKind.RNN: set(), CellKind.LSTM: {"zcat"}, CellKind.GRU: {"zcat", "acat"}}[cell]
+            assert set(cache) == {"xs", "h", "y", "acts"} | buffers
+            for key in set(cache) - {"acts"}:
+                assert cache[key].dtype == np.float64, key
             grads = backward(cache, t, params)
             assert {g.dtype for g in grads.values()} == {np.dtype(np.float64)}
 
