@@ -30,7 +30,7 @@ planted = 0.7 * np.eye(19) + 0.3 / 19
 planted = planted / planted.sum(axis=1, keepdims=True)
 users, _ = generate_synthetic(SyntheticSpec(2000, planted, genres_per_movie=(1, 2), seed=1))
 
-counts = count_transitions(users)
+counts = count_transitions(users.genres)
 probs = normalize_transitions(counts)
 a, c = genre_index("Action"), genre_index("Comedy")
 print(f"observed transitions out of Action: {counts[a].sum()}")
@@ -51,5 +51,5 @@ for mode in FeatureMode:
     print(f"  {mode.value:<10} length {len(merged):>2}  first five: "
           + ", ".join(f"{v:.2f}" for v in merged[:5]))
 
-dataset = featurize(genre_samples(users[:500]), probs, FeatureMode.PRODUCT)
+dataset = featurize(genre_samples(users.genres[:500]), probs, FeatureMode.PRODUCT)
 print(f"\ntraining dataset from 500 users: inputs {dataset.inputs.shape}, targets {dataset.targets.shape}")

@@ -40,10 +40,23 @@ def rating_profile(genres: np.ndarray, ratings: np.ndarray) -> np.ndarray:
     return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
 
 
+# Distances are computed this many rows at a time, so no (n, d) temporary is built.
+_DISTANCE_ROWS = 4096
+
+
+def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances from every point to every centroid, in row blocks."""
+    d2 = np.empty((points.shape[0], len(centroids)))
+    for start in range(0, points.shape[0], _DISTANCE_ROWS):
+        block = points[start : start + _DISTANCE_ROWS]
+        for j, c in enumerate(centroids):
+            d2[start : start + _DISTANCE_ROWS, j] = ((block - c) ** 2).sum(axis=1)
+    return d2
+
+
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Labels and squared distances to the nearest centroid (ties: lowest index)."""
-    # One centroid column at a time, so no (n, k, d) temporary is built.
-    d2 = np.stack([((points - c) ** 2).sum(axis=1) for c in centroids], axis=1)
+    d2 = _sq_distances(points, centroids)
     labels = np.argmin(d2, axis=1)
     return labels, d2[np.arange(points.shape[0]), labels]
 
@@ -53,7 +66,7 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    d2 = _sq_distances(points, centroids[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -61,7 +74,7 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             idx = rng.integers(n)
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_distances(points, centroids[j : j + 1])[:, 0])
     return centroids
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NonFinitePrediction
 from .genres import N_GENRES
-from .ingest import SEQUENCE_LENGTH, Users
+from .ingest import SEQUENCE_LENGTH
 from .transitions import Dataset
 
 DEFAULT_THRESHOLD = 0.5
@@ -131,9 +131,9 @@ class MovieGenreMatrix:
     length: int
 
     @classmethod
-    def from_sequences(cls, cluster: int, users: Users) -> "MovieGenreMatrix":
-        counts = users.genres.sum(axis=1, dtype=np.int64)
-        return cls(cluster, counts, SEQUENCE_LENGTH * len(users))
+    def from_sequences(cls, cluster: int, genres: np.ndarray) -> "MovieGenreMatrix":
+        counts = genres.sum(axis=1, dtype=np.int64)
+        return cls(cluster, counts, SEQUENCE_LENGTH * len(genres))
 
 
 def trim_genres(m: MovieGenreMatrix, theta: float) -> tuple[MovieGenreMatrix, frozenset[int]]:

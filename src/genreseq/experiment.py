@@ -161,8 +161,12 @@ def derive_seed(*parts: int | str) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-def split_users(users: Users, fraction: float, seed: int) -> tuple[Users, Users]:
-    """Seeded shuffle; the first ceil(fraction * N) users train, the rest test."""
+def split_users(users: Users | np.ndarray, fraction: float, seed: int) -> tuple:
+    """Seeded shuffle; the first ceil(fraction * N) users train, the rest test.
+
+    ``users`` is anything an index array selects from: a :class:`Users`
+    table, or the row indices of one, as :func:`run_experiment` passes.
+    """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
     n = len(users)
@@ -254,35 +258,40 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     The report's ``funnel`` holds ``users_kept`` (eligible users) and
     ``users_after_max_users``; on CSV input also ``rating_rows``,
     ``movies_skipped_no_genre`` and ``users_dropped`` (fewer than five
-    rated movies with genres).
+    rated movies with genres).  Past the rating profiles a run reads
+    nothing but the users' genres, so it keeps that one (n, 5, 19) array and
+    drops the rest of the table.
     """
     users, funnel = _load_users(config)
     users = _subsample(users, config)
     funnel["users_after_max_users"] = len(users)
 
     points = _profiles(users)
+    genres = users.genres
+    del users
     cmodel: ClusterModel = kmeans(points, config.k, seed=derive_seed(config.seed, "kmeans"))
     del points
     clusters = np.unique(cmodel.labels).tolist()
 
     # Group -1 holds every user (BC); group c holds cluster c (AC, and AT
-    # once trimmed).  Each group has its rows of ``users`` (selected when
-    # needed, so no group's copy outlives its use) and the seed roles of
-    # its split and its fits.
-    groups = {-1: (slice(None), ("split-global",), ("train-bc",))}
+    # once trimmed).  Each group has its row mask of ``genres`` (rows are
+    # copied when needed, so no group's copy outlives its use) and the seed
+    # roles of its split and its fits.
+    groups = {-1: (np.ones(len(genres), dtype=bool), ("split-global",), ("train-bc",))}
     groups.update({c: (cmodel.labels == c, ("split-cluster", c), ("train-ac", c)) for c in clusters})
     probs: dict[int, np.ndarray] = {}
     samples: dict[int, tuple[Dataset, Dataset]] = {}
     for g, (selection, split_role, _) in groups.items():
-        train_users, test_users = split_users(
-            users[selection], config.split_fraction, derive_seed(config.seed, *split_role)
+        train_rows, test_rows = split_users(
+            np.flatnonzero(selection), config.split_fraction, derive_seed(config.seed, *split_role)
         )
-        probs[g] = TransitionModel.from_sequences(g, train_users).probs
-        samples[g] = (genre_samples(train_users), genre_samples(test_users))
+        train_genres = genres[train_rows]
+        probs[g] = TransitionModel.from_sequences(g, train_genres).probs
+        samples[g] = (genre_samples(train_genres), genre_samples(genres[test_rows]))
     untested = tuple(c for c in clusters if not samples[c][1])
     if len(untested) == len(clusters):
         raise EmptyDataset(
-            f"no cluster has a test sample ({len(users)} users in {len(clusters)} clusters)"
+            f"no cluster has a test sample ({len(genres)} users in {len(clusters)} clusters)"
         )
 
     # The modes of one input width train as one stack per group: Concat
@@ -322,7 +331,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             retrain = {}
             for c in sorted(set().union(*selected.values())):
                 chosen = [mode for mode in modes if c in selected[mode]]
-                mgm = MovieGenreMatrix.from_sequences(c, users[groups[c][0]])
+                mgm = MovieGenreMatrix.from_sequences(c, genres[groups[c][0]])
                 _, zeroed = trim_genres(mgm, config.theta)
                 if not zeroed:
                     reason = "trim zeroed no genre"

@@ -64,7 +64,8 @@ def _multi_hot(genres) -> np.ndarray:
     256 to 0 and truncate 0.5 to 0.
     """
     raw = np.asarray(genres)
-    if not np.all((raw == 0) | (raw == 1)):
+    # uint8 holds no value below 0, so its max alone checks it, with no temporary.
+    if not (raw.max(initial=0) <= 1 if raw.dtype == np.uint8 else np.all((raw == 0) | (raw == 1))):
         raise ValueError("genre matrix must be multi-hot")
     column = raw.astype(np.uint8, copy=False)
     column.setflags(write=False)
@@ -263,29 +264,35 @@ def build_sequences(ratings: np.ndarray, catalog: MovieCatalog) -> tuple[Users, 
     """
     ids = catalog.ids
     user, movie, timestamp = ratings["user_id"], ratings["movie_id"], ratings["timestamp"]
-    pos = np.searchsorted(ids, movie)
-    known = np.zeros(len(ratings), dtype=bool)
-    inside = pos < ids.size
-    known[inside] = ids[pos[inside]] == movie[inside]
 
     # One sort of every row counts the users seen; its known rows keep
-    # the order a sort of the known rows alone would give.
-    rows = np.lexsort((movie, timestamp, user))
+    # the order a sort of the known rows alone would give.  Each row index
+    # array is int32 and freed before the next is built.
+    rows = np.lexsort((movie, timestamp, user)).astype(np.int32 if len(ratings) < 2**31 else np.int64)
     grouped = user[rows]
     seen = np.count_nonzero(grouped[1:] != grouped[:-1]) + int(grouped.size > 0)
+    del grouped
+    # A movie id past the last catalog id is clipped onto it, which differs.
+    pos = np.searchsorted(ids, movie)
+    known = ids.take(pos, mode="clip") == movie if ids.size else np.zeros(len(ratings), dtype=bool)
+    del pos
     rows = rows[known[rows]]
+    del known
     grouped = user[rows]
     ends = np.flatnonzero(np.r_[grouped[1:] != grouped[:-1], grouped.size > 0])
+    del grouped
     sizes = np.diff(ends, prepend=-1)
     ends = ends[sizes >= SEQUENCE_LENGTH]
     window = rows[ends[:, None] + np.arange(1 - SEQUENCE_LENGTH, 1)]
+    del rows
 
+    movie_id = movie[window]
     users = Users(
         user_id=user[window[:, -1]],
-        movie_id=movie[window],
+        movie_id=movie_id,
         rating=ratings["rating"][window],
         timestamp=timestamp[window],
-        genres=catalog.genres[pos[window]],
+        genres=catalog.genres[np.searchsorted(ids, movie_id)],
     )
     return users, seen - len(users)
 

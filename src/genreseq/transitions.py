@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyGenreSupport
 from .genres import GENRES, N_GENRES, is_row_stochastic
-from .ingest import SEQUENCE_LENGTH, Users
+from .ingest import SEQUENCE_LENGTH
 
 
 class FeatureMode(enum.Enum):
@@ -54,8 +54,8 @@ class TransitionModel:
             raise ValueError("probs do not match normalized counts")
 
     @classmethod
-    def from_sequences(cls, cluster: int, users: Users) -> "TransitionModel":
-        counts = count_transitions(users)
+    def from_sequences(cls, cluster: int, genres: np.ndarray) -> "TransitionModel":
+        counts = count_transitions(genres)
         return cls(cluster, counts, normalize_transitions(counts))
 
 
@@ -65,8 +65,8 @@ class TransitionModel:
 _COUNT_ROWS = 4096
 
 
-def count_transitions(users: Users) -> np.ndarray:
-    """Count genre co-transitions over every consecutive movie pair.
+def count_transitions(genres: np.ndarray) -> np.ndarray:
+    """Count genre co-transitions over every consecutive movie pair of (n, 5, 19) genres.
 
     For movies at steps t-1 and t, counts[i, j] gains 1 for every genre i
     of the earlier movie and every genre j of the later one.  The uint8
@@ -75,7 +75,6 @@ def count_transitions(users: Users) -> np.ndarray:
     are of 0/1 products, so every block's counts are exact integers and
     neither the blocks nor their order change the total.
     """
-    genres = users.genres
     counts = np.zeros((N_GENRES, N_GENRES))
     for start in range(0, len(genres), _COUNT_ROWS):
         block = genres[start : start + _COUNT_ROWS].astype(np.float32)
@@ -123,12 +122,12 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def genre_samples(users: Users) -> Dataset:
-    """Raw (``GenreOnly``) samples: each user's 4 input genre rows and 5th-movie target.
+def genre_samples(genres: np.ndarray) -> Dataset:
+    """Raw (``GenreOnly``) samples of (n, 5, 19) genres: each user's 4 input rows and 5th-movie target.
 
-    Both are read-only uint8 views of ``users.genres``.
+    Both are views of ``genres``.
     """
-    return Dataset(users.genres[:, :4], users.genres[:, 4])
+    return Dataset(genres[:, :4], genres[:, 4])
 
 
 # featurize computes this many samples' steps in float64 at a time (a 156 KB

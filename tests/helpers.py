@@ -4,8 +4,9 @@ The oracles deliberately re-derive results with plain Python loops and
 scalar math so the vectorized library paths are checked against an
 implementation that shares no code with them.
 
-Run as a module, it prints every sha256 pin of the tests beside the digest
-the code gives now, for a change that moves them on purpose to re-pin::
+Run as a module, it prints every sha256 pin of the tests, and of the
+benchmark workloads' seed-0 reports, beside the digest the code gives now,
+for a change that moves them on purpose to re-pin::
 
     PYTHONPATH=src python -m tests.helpers digests
 """
@@ -15,7 +16,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import platform
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -461,6 +465,92 @@ def pergate_gated_backward(y, cache, target, params):
 
 
 # ---------------------------------------------------------------------------
+# frozen k-means and windowing
+#
+# clustering.kmeans and ingest.build_sequences as they were before their
+# distances were computed in row blocks and their index arrays shrank to
+# int32: whole-array temporaries, the same arithmetic.  The library's
+# versions must give these results exactly.
+
+
+def _frozen_nearest(points, centroids):
+    d2 = np.stack([((points - c) ** 2).sum(axis=1) for c in centroids], axis=1)
+    labels = np.argmin(d2, axis=1)
+    return labels, d2[np.arange(points.shape[0]), labels]
+
+
+def _frozen_plus_plus_init(points, k, rng):
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        idx = rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n)
+        centroids[j] = points[idx]
+        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
+def frozen_kmeans(points, k, seed, max_iter=300, tol=1e-6):
+    """(labels, centroids, inertia_history) of the whole-array k-means."""
+    rng = np.random.default_rng(seed)
+    centroids = _frozen_plus_plus_init(points, k, rng)
+    history = []
+    for _ in range(max_iter):
+        labels, d2 = _frozen_nearest(points, centroids)
+        history.append(float(d2.sum()))
+        new_centroids = centroids.copy()
+        empty = []
+        for j in range(k):
+            members = points[labels == j]
+            if members.shape[0] > 0:
+                new_centroids[j] = members.mean(axis=0)
+            else:
+                empty.append(j)
+        if empty:
+            point_d2 = ((points - new_centroids[labels]) ** 2).sum(axis=1)
+            for j in empty:
+                far = int(np.argmax(point_d2))
+                new_centroids[j] = points[far]
+                point_d2[far] = -1.0
+        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        centroids = new_centroids
+        if shift < tol:
+            break
+    labels, d2 = _frozen_nearest(points, centroids)
+    history.append(float(d2.sum()))
+    return labels, centroids, tuple(history)
+
+
+def frozen_build_sequences(ratings, catalog):
+    """(users, dropped) of the windowing on int64 indices over every row."""
+    ids = catalog.ids
+    user, movie, timestamp = ratings["user_id"], ratings["movie_id"], ratings["timestamp"]
+    pos = np.searchsorted(ids, movie)
+    known = np.zeros(len(ratings), dtype=bool)
+    inside = pos < ids.size
+    known[inside] = ids[pos[inside]] == movie[inside]
+    rows = np.lexsort((movie, timestamp, user))
+    grouped = user[rows]
+    seen = np.count_nonzero(grouped[1:] != grouped[:-1]) + int(grouped.size > 0)
+    rows = rows[known[rows]]
+    grouped = user[rows]
+    ends = np.flatnonzero(np.r_[grouped[1:] != grouped[:-1], grouped.size > 0])
+    sizes = np.diff(ends, prepend=-1)
+    ends = ends[sizes >= 5]
+    window = rows[ends[:, None] + np.arange(-4, 1)]
+    users = Users(
+        user_id=user[window[:, -1]],
+        movie_id=movie[window],
+        rating=ratings["rating"][window],
+        timestamp=timestamp[window],
+        genres=catalog.genres[pos[window]],
+    )
+    return users, seen - len(users)
+
+
+# ---------------------------------------------------------------------------
 # gradient checking
 
 
@@ -561,14 +651,51 @@ def read_report_csv(path: str | Path) -> tuple[ReportRow, ...]:
 # re-pin tooling
 
 
+# Runs every benchmark workload at its default seed, as the benchmark's
+# child does, and prints "name pinned current" for each; argv[1] is the
+# perfbench directory and argv[2] a temporary directory.
+_WORKLOADS_SCRIPT = """
+import hashlib, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from workloads import DEFAULT_SEED, WORKLOADS, experiment_config
+from genreseq import run_experiment, write_archetype_dataset
+for name, workload in WORKLOADS.items():
+    data, out = Path(sys.argv[2]) / name, Path(sys.argv[2]) / name / "out"
+    write_archetype_dataset(data, workload.users_per_archetype, seed=DEFAULT_SEED)
+    run_experiment(experiment_config(workload, data, out))
+    print(name, workload.golden, hashlib.sha256((out / "report.csv").read_bytes()).hexdigest())
+"""
+
+
+def workload_digests() -> dict[str, tuple[str, str]]:
+    """Name -> (pinned, current) sha256 of each workload's seed-0 report.csv.
+
+    The pins are read from ``perfbench/workloads.py``.  The workloads run in
+    a child process on one BLAS thread, as the benchmark runs them.
+    """
+    repo = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(repo / "src"), "PYTHONHASHSEED": "0"}
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = subprocess.run(
+            [sys.executable, "-c", _WORKLOADS_SCRIPT, str(repo / "perfbench"), tmp],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout.splitlines()
+    return {f"workload {name}": (pinned, current) for name, pinned, current in map(str.split, lines)}
+
+
 def current_digests() -> dict[str, tuple[str, str]]:
-    """Name -> (pinned, current) sha256 of each trained-weights and report pin."""
+    """Name -> (pinned, current) sha256 of each trained-weights, report and workload pin."""
     from . import test_golden, test_nets
 
     digests = {}
     for cell, pinned in test_nets.PINNED_WEIGHTS.items():
         result = test_nets.train_one(test_nets.small_dataset(), cell, test_nets.PINNED_CONFIG)
         digests[f"PINNED_WEIGHTS[{cell.value}]"] = (pinned, test_nets.weights_sha256(result.params))
+    for cell, pinned in test_nets.PRODUCTION_WEIGHTS.items():
+        current = test_nets.stack_sha256(test_nets.production_stack(cell))
+        digests[f"PRODUCTION_WEIGHTS[{cell.value}]"] = (pinned, current)
     with tempfile.TemporaryDirectory() as tmp:
         try:
             test_golden.test_pinned_config_report_bytes(Path(tmp))
@@ -576,7 +703,7 @@ def current_digests() -> dict[str, tuple[str, str]]:
             pass  # the digest moved; the report is written all the same
         report = hashlib.sha256((Path(tmp) / "out" / "report.csv").read_bytes()).hexdigest()
     digests["GOLDEN_REPORT_SHA256"] = (test_golden.GOLDEN_REPORT_SHA256, report)
-    return digests
+    return digests | workload_digests()
 
 
 def main(argv=None) -> None:

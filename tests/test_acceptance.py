@@ -67,7 +67,7 @@ def test_criterion_2_estimator_oracle():
     planted = raw / raw.sum(axis=1, keepdims=True)
     spec = SyntheticSpec(10_000, planted, genres_per_movie=(1, 1), seed=77)
     sequences, _ = generate_synthetic(spec)
-    estimate = normalize_transitions(count_transitions(sequences))
+    estimate = normalize_transitions(count_transitions(sequences.genres))
     max_err = float(np.max(np.abs(estimate - planted)))
 
     singleton_exact = True

@@ -6,7 +6,7 @@ from genreseq.errors import TooFewUsers
 from genreseq.experiment import _PROFILE_ROWS, _profiles
 from genreseq.genres import genre_index
 
-from .helpers import make_sequence, random_genres, random_users, users_from
+from .helpers import frozen_kmeans, make_sequence, random_genres, random_users, users_from
 
 
 class TestRatingProfile:
@@ -129,3 +129,17 @@ class TestKMeans:
             dists = [np.sum((prof - c) ** 2) for c in model.centroids]
             assert label == int(np.argmin(dists))
 
+    @pytest.mark.parametrize("n, k", [(10500, 7), (3000, 13), (257, 3)])
+    def test_blocked_distances_match_whole_array_kmeans(self, n, k):
+        # Rating profiles of random users (many exact zeros and ties), over
+        # one or several distance blocks: labels, centroids and the inertia
+        # history equal those of the whole-array k-means.
+        rng = np.random.default_rng(n)
+        users = users_from(random_genres(rng, n), rng.choice(np.arange(1, 11) * 0.5, size=(n, 5)))
+        points = _profiles(users)
+        model = kmeans(points, k=k, seed=k)
+        labels, centroids, history = frozen_kmeans(points, k, seed=k)
+        assert np.array_equal(model.labels, labels)
+        assert np.array_equal(model.centroids, centroids)
+        assert model.inertia_history == history
+        assert len(history) > 2

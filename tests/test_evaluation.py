@@ -170,7 +170,7 @@ class TestMovieGenreMatrix:
             make_sequence([["Action"], ["Action", "Comedy"], ["Drama"], ["Drama"], ["Action"]]),
             make_sequence([["Comedy"]] * 5, user_id=2),
         ])
-        m = MovieGenreMatrix.from_sequences(0, seqs)
+        m = MovieGenreMatrix.from_sequences(0, seqs.genres)
         assert m.length == 10
         A, C, Dr = genre_index("Action"), genre_index("Comedy"), genre_index("Drama")
         assert m.counts[0, A] == 3
@@ -180,7 +180,7 @@ class TestMovieGenreMatrix:
 
     def test_rows_sum_at_least_five(self):
         rng = np.random.default_rng(65)
-        m = MovieGenreMatrix.from_sequences(0, random_users(rng, 10))
+        m = MovieGenreMatrix.from_sequences(0, random_users(rng, 10).genres)
         assert np.all(m.counts.sum(axis=1) >= 5)
 
 
@@ -328,7 +328,7 @@ class TestApplyTrim:
     def test_uint8_matches_float64(self):
         # The trim keeps its input dtype, and uint8 rows come out with the
         # values of the same rows in float64.
-        samples = genre_samples(random_users(np.random.default_rng(37), 80, max_genres=3))
+        samples = genre_samples(random_users(np.random.default_rng(37), 80, max_genres=3).genres)
         table = Dataset(samples.inputs.astype(np.float64), samples.targets.astype(np.float64))
         zeroed = {0, 3, 7, 11}
         kept, dropped = apply_trim_to_dataset(samples, zeroed)

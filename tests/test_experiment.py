@@ -372,6 +372,31 @@ class TestRunExperiment:
         assert len(profiles) == 1
         assert alive and not any(alive)
 
+    def test_users_table_dropped_after_profiles(self, monkeypatch):
+        # Past the rating profiles a run keeps only the genres, so no
+        # k-means or fit holds the Users table.
+        tables, alive = [], []
+        profiles_, kmeans_, train_ = experiment._profiles, experiment.kmeans, experiment.train
+
+        def profile(users):
+            tables.append(weakref.ref(users))
+            return profiles_(users)
+
+        def cluster(*args, **kwargs):
+            alive.append(tables[0]() is not None)
+            return kmeans_(*args, **kwargs)
+
+        def fit(*args):
+            alive.append(tables[0]() is not None)
+            return train_(*args)
+
+        monkeypatch.setattr(experiment, "_profiles", profile)
+        monkeypatch.setattr(experiment, "kmeans", cluster)
+        monkeypatch.setattr(experiment, "train", fit)
+        run_experiment(small_config())
+        assert len(tables) == 1
+        assert len(alive) > 1 and not any(alive)
+
     @pytest.mark.parametrize("eta", [0.1, 0.9])
     def test_stacked_modes_match_lone_mode_runs(self, eta):
         # Sum, Product and GenreOnly train as one stack, Concat alone; each

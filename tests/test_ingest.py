@@ -19,7 +19,7 @@ from genreseq.ingest import (
 )
 from genreseq.transitions import count_transitions, genre_samples, normalize_transitions
 
-from .helpers import make_sequence
+from .helpers import frozen_build_sequences, make_sequence
 
 
 def write(tmp_path, name, text):
@@ -77,6 +77,13 @@ class TestLoadMovies:
     @pytest.mark.parametrize("bad", [0.5, 2, 256, -1, np.nan])
     def test_catalog_genres_checked_before_uint8_cast(self, bad):
         genres = np.eye(19)[:2]
+        genres[0, 5] = bad
+        with pytest.raises(ValueError, match="genre matrix must be multi-hot"):
+            MovieCatalog(np.array([3, 5]), genres)
+
+    @pytest.mark.parametrize("bad", [2, 255])
+    def test_catalog_uint8_genres_checked(self, bad):
+        genres = np.eye(19, dtype=np.uint8)[:2]
         genres[0, 5] = bad
         with pytest.raises(ValueError, match="genre matrix must be multi-hot"):
             MovieCatalog(np.array([3, 5]), genres)
@@ -333,51 +340,74 @@ def reference_windows(ratings_path, movies):
     return windows, dropped
 
 
+def windowing_files(tmp_path):
+    """(movies, ratings) paths of a small file with unknown movies, short users and ties."""
+    rng = np.random.default_rng(61)
+    movie_lines = ["movieId,title,genres"]
+    for movie in range(1, 41):
+        if movie % 9 == 0:
+            movie_lines.append(f"{movie},Blank {movie},(no genres listed)")
+        else:
+            names = rng.choice(GENRES, size=int(rng.integers(1, 4)), replace=False)
+            movie_lines.append(f"{movie},Movie {movie},{'|'.join(names)}")
+    movies_path = write(tmp_path, "movies.csv", "\n".join(movie_lines) + "\n")
+
+    # Sparse, unordered user ids; few distinct timestamps, so ties are
+    # common; ids 41-45 are not in the catalog and multiples of 9 have
+    # no genres.
+    user_ids = rng.choice(10**12, size=120, replace=False) - 5 * 10**11
+    rating_lines = [HEADER.strip()]
+    for user in user_ids.tolist():
+        kind = rng.integers(4)
+        n = int(rng.integers(1, 5)) if kind == 0 else int(rng.integers(1, 14))
+        for _ in range(n):
+            movie = int(rng.integers(41, 46)) if kind == 1 else int(rng.integers(1, 46))
+            rating = float(rng.choice(np.arange(1, 11) * 0.5))
+            ts = int(rng.integers(0, 6))
+            rating_lines.append(f"{user},{movie},{rating},{ts}")
+            if rng.uniform() < 0.2:  # an exact (user, movie, timestamp) duplicate
+                rating_lines.append(f"{user},{movie},{float(rng.choice([0.5, 5.0]))},{ts}")
+    order = rng.permutation(len(rating_lines) - 1) + 1
+    ratings_path = write(
+        tmp_path, "ratings.csv", "\n".join([rating_lines[0]] + [rating_lines[i] for i in order]) + "\n"
+    )
+    return movies_path, ratings_path
+
+
 class TestWindowingDifferential:
     def test_matches_plain_python_reference(self, tmp_path):
-        rng = np.random.default_rng(61)
-        movie_lines = ["movieId,title,genres"]
-        for movie in range(1, 41):
-            if movie % 9 == 0:
-                movie_lines.append(f"{movie},Blank {movie},(no genres listed)")
-            else:
-                names = rng.choice(GENRES, size=int(rng.integers(1, 4)), replace=False)
-                movie_lines.append(f"{movie},Movie {movie},{'|'.join(names)}")
-        movies_path = write(tmp_path, "movies.csv", "\n".join(movie_lines) + "\n")
-
-        # Sparse, unordered user ids; few distinct timestamps, so ties are
-        # common; ids 41-45 are not in the catalog and multiples of 9 have
-        # no genres.
-        user_ids = rng.choice(10**12, size=120, replace=False) - 5 * 10**11
-        rating_lines = [HEADER.strip()]
-        for user in user_ids.tolist():
-            kind = rng.integers(4)
-            n = int(rng.integers(1, 5)) if kind == 0 else int(rng.integers(1, 14))
-            for _ in range(n):
-                movie = int(rng.integers(41, 46)) if kind == 1 else int(rng.integers(1, 46))
-                rating = float(rng.choice(np.arange(1, 11) * 0.5))
-                ts = int(rng.integers(0, 6))
-                rating_lines.append(f"{user},{movie},{rating},{ts}")
-                if rng.uniform() < 0.2:  # an exact (user, movie, timestamp) duplicate
-                    rating_lines.append(f"{user},{movie},{float(rng.choice([0.5, 5.0]))},{ts}")
-        order = rng.permutation(len(rating_lines) - 1) + 1
-        ratings_path = write(
-            tmp_path, "ratings.csv", "\n".join([rating_lines[0]] + [rating_lines[i] for i in order]) + "\n"
-        )
-
+        movies_path, ratings_path = windowing_files(tmp_path)
         catalog = load_movies(movies_path)
         users, dropped = build_sequences(load_ratings(ratings_path), catalog)
         movies = dict(zip(catalog.ids.tolist(), catalog.genres))
         windows, expected_dropped = reference_windows(ratings_path, movies)
 
         assert dropped == expected_dropped
-        assert 0 < len(users) == len(windows) < len(user_ids)
+        assert 0 < len(users) == len(windows) < 120
         assert users.user_id.tolist() == [w[0][0] for w in windows]
         assert users.movie_id.tolist() == [[r[1] for r in w] for w in windows]
         assert users.rating.tolist() == [[r[2] for r in w] for w in windows]
         assert users.timestamp.tolist() == [[r[3] for r in w] for w in windows]
         expected_genres = np.array([[movies[r[1]] for r in w] for w in windows])
         assert np.array_equal(users.genres, expected_genres)
+
+    @pytest.mark.parametrize("empty_catalog", [False, True])
+    def test_matches_the_int64_windowing(self, tmp_path, empty_catalog):
+        # The int32 indices and the lookup of the kept windows alone give
+        # the columns and the dropped count of the windowing on int64
+        # indices over every row.
+        movies_path, ratings_path = windowing_files(tmp_path)
+        catalog = load_movies(movies_path)
+        if empty_catalog:
+            catalog = MovieCatalog(catalog.ids[:0], catalog.genres[:0])
+        ratings = load_ratings(ratings_path)
+        users, dropped = build_sequences(ratings, catalog)
+        expected, expected_dropped = frozen_build_sequences(ratings, catalog)
+        assert dropped == expected_dropped > 0
+        assert (len(users) == 0) is empty_catalog
+        for f in fields(Users):
+            got, ref = getattr(users, f.name), getattr(expected, f.name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), f.name
 
 
 def columns(n=1, **overrides):
@@ -416,7 +446,9 @@ class TestSequenceInvariants:
 
     @pytest.mark.parametrize(
         "bad, dtype",
-        [(v, np.float64) for v in (0.5, 2, 256, -1, np.nan)] + [(v, np.int64) for v in (2, 256, -1)],
+        [(v, np.float64) for v in (0.5, 2, 256, -1, np.nan)]
+        + [(v, np.int64) for v in (2, 256, -1)]
+        + [(v, np.uint8) for v in (2, 255)],
     )
     def test_genres_checked_before_uint8_cast(self, bad, dtype):
         # Each row keeps a genre, so a check after the cast would pass 256
@@ -468,7 +500,7 @@ class TestGenreColumn:
 
     def test_genre_samples_are_views(self):
         users = Users(**columns(3))
-        samples = genre_samples(users)
+        samples = genre_samples(users.genres)
         assert np.shares_memory(samples.inputs, users.genres)
         assert np.shares_memory(samples.targets, users.genres)
         assert samples.inputs.dtype == samples.targets.dtype == np.uint8
@@ -494,7 +526,7 @@ class TestGenerateSynthetic:
         planted = np.full((19, 19), 1.0 / 19)
         spec = SyntheticSpec(n_users=10_000, planted_matrix=planted, genres_per_movie=(1, 1), seed=12)
         users, _ = generate_synthetic(spec)
-        estimate = normalize_transitions(count_transitions(users))
+        estimate = normalize_transitions(count_transitions(users.genres))
         assert np.max(np.abs(estimate - planted)) < 0.02
 
     def test_invalid_specs(self):

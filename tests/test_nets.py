@@ -673,6 +673,27 @@ PINNED_WEIGHTS = {
     CellKind.GRU: "c0fb6ddc540e2186c42078a719bc7a79c9a14cd770b6be0294be4eecaa957956",
 }
 
+# sha256 of both models' float32 weights after production_stack(cell), a
+# 2-model ragged stack at TrainConfig's default hidden size and batch, one
+# input strided, recorded on helpers.PINNED_BUILD.  PINNED_CONFIG's small
+# GEMMs can keep every bit that a change of GEMM form moves at these shapes.
+PRODUCTION_CONFIG = TrainConfig(epochs=2, seed=11)
+PRODUCTION_WEIGHTS = {
+    CellKind.RNN: "5aecbcafbe8c682a6c8c41b7dc9edc1f9a50ed97890494fe4932761c8a2bd3fe",
+    CellKind.LSTM: "47c71d4b3d73de62d4fa69a33240a103fe04d2baff6df35716e5c8194dfca123",
+    CellKind.GRU: "2fe95f0f22b236bc18c2cd9c3c4172b77b8a62d1b4c730dab980dd6612de6895",
+}
+
+
+def production_stack(cell):
+    """The two trained models of PRODUCTION_WEIGHTS' stack: 100 and 70 samples, batch 32."""
+    datasets = [small_dataset(100), strided(small_dataset(70, seed=8))]
+    return train(datasets, cell, [PRODUCTION_CONFIG, replace(PRODUCTION_CONFIG, seed=12)])
+
+
+def stack_sha256(results):
+    return hashlib.sha256("".join(weights_sha256(r.params) for r in results).encode()).hexdigest()
+
 
 class TestTrainExactness:
     @requires_pinned_build
@@ -680,6 +701,11 @@ class TestTrainExactness:
     def test_pinned_weights(self, cell):
         result = train_one(small_dataset(), cell, PINNED_CONFIG)
         assert weights_sha256(result.params) == PINNED_WEIGHTS[cell]
+
+    @requires_pinned_build
+    @pytest.mark.parametrize("cell", list(CellKind))
+    def test_pinned_weights_at_default_shapes(self, cell):
+        assert stack_sha256(production_stack(cell)) == PRODUCTION_WEIGHTS[cell]
 
     @pytest.mark.parametrize("cell", list(CellKind))
     def test_matches_per_tensor_loop(self, cell):

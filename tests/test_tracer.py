@@ -8,7 +8,11 @@ rebinds module globals) and checks that the fit counts add up.  The
 synthetic run skips ingest, so a second run on a small CSV dataset checks
 the ingest counts.  The tracer counts ``train`` calls, so a stacked fit of
 several models counts once: per cell and input width, one BC call, one
-call for every cluster's AC fits and one for every AT retrain.
+call for every cluster's AC fits and one for every AT retrain.  The span
+counts of the traced names check that the run still calls each of them:
+per group (BC and each cluster) one split and one transition count, two
+``genre_samples`` calls, and per cluster selected for trimming one trim
+matrix.
 """
 
 import json
@@ -16,12 +20,14 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
 import json, sys
+from collections import Counter
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 from tracer import Tracer, install, layer_metrics
@@ -62,7 +68,12 @@ retrained = {
     for m in report.ac_metrics[t]
     if m.p_min < config.eta and m.cluster not in report.at_skipped[t]
 }
-print(json.dumps({"k": k, "retrained": len(retrained), "lengths": lengths, "metrics": metrics}))
+selected = {m.cluster for t in tags for m in report.ac_metrics[t] if m.p_min < config.eta}
+spans = Counter(s["name"] for s in tracer.spans)
+print(json.dumps({
+    "k": k, "groups": config.k + 1, "retrained": len(retrained), "selected": len(selected),
+    "lengths": lengths, "metrics": metrics, "spans": spans,
+}))
 """
 
 
@@ -96,6 +107,16 @@ def test_traced_fit_counts_add_up(tmp_path):
     assert m["nets.samples_stepped"] == samples_stepped(result)
     assert m["clustering.rating_profile_calls"] == 120
     assert m["transitions.featurize_samples"] > 0
+    assert_group_spans(result)
+
+
+def assert_group_spans(result):
+    """One split and one count per group, two genre_samples, one trim matrix per selected cluster."""
+    spans = Counter(result["spans"])
+    assert spans["experiment.split"] == spans["transitions.count"] == result["groups"]
+    assert spans["transitions.genre_samples"] == 2 * result["groups"]
+    assert spans["evaluation.trim_matrix"] == result["selected"] >= result["retrained"]
+    assert spans["clustering.kmeans"] == 1
 
 
 def test_traced_stacked_fits_count_once(tmp_path):
@@ -111,6 +132,7 @@ def test_traced_stacked_fits_count_once(tmp_path):
     assert m["nets.loss_calls"] == m["nets.train_steps"] > 0
     # Each stacked step counts its models as samples: one per model step.
     assert m["nets.train_steps"] < m["nets.samples_stepped"] == samples_stepped(result)
+    assert_group_spans(result)
 
 
 CSV_SCRIPT = """

@@ -41,7 +41,7 @@ class TestCountTransitions:
     def test_hand_counted_sequence(self):
         # Pairs: ({Action,Comedy} -> {Comedy}) then {Comedy} -> {Comedy} x3.
         seq = make_sequence([["Action", "Comedy"], ["Comedy"], ["Comedy"], ["Comedy"], ["Comedy"]])
-        counts = count_transitions(seq)
+        counts = count_transitions(seq.genres)
         assert counts[A, C] == 1
         assert counts[C, C] == 4
         assert counts.sum() == 5
@@ -52,7 +52,7 @@ class TestCountTransitions:
         seq = make_sequence(
             [["Romance", "Action", "Comedy"], ["Drama"], ["Drama"], ["Drama"], ["Drama"]]
         )
-        counts = count_transitions(seq)
+        counts = count_transitions(seq.genres)
         D = genre_index("Drama")
         assert counts[R, D] == 1
         assert counts[A, D] == 1
@@ -62,12 +62,12 @@ class TestCountTransitions:
 
     def test_empty_input(self):
         empty = users_from(np.zeros((0, 5, 19)))
-        assert np.array_equal(count_transitions(empty), np.zeros((19, 19), dtype=np.int64))
+        assert np.array_equal(count_transitions(empty.genres), np.zeros((19, 19), dtype=np.int64))
 
     def test_matches_bruteforce_enumeration(self):
         rng = np.random.default_rng(21)
         users = random_users(rng, 100)
-        assert np.array_equal(count_transitions(users), transition_counts_oracle(users))
+        assert np.array_equal(count_transitions(users.genres), transition_counts_oracle(users))
 
     def test_row_blocks_match_float64_table(self):
         # Three float32 row blocks, the last one short, against the whole
@@ -78,7 +78,7 @@ class TestCountTransitions:
         table = genres.astype(np.float64)
         expected = sum(table[:, t - 1].T @ table[:, t] for t in range(1, 5)).astype(np.int64)
         exact = np.einsum("nti,ntj->ij", genres[:, :-1].astype(np.int64), genres[:, 1:].astype(np.int64))
-        counts = count_transitions(users)
+        counts = count_transitions(users.genres)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, expected) and np.array_equal(counts, exact)
 
@@ -186,7 +186,7 @@ class TestBuildDataset:
     def test_genre_only_inputs_are_genre_vectors(self):
         seqs = self.sequences()
         probs = np.full((19, 19), 1.0 / 19)
-        ds = featurize(genre_samples(seqs), probs, FeatureMode.GENRE_ONLY)
+        ds = featurize(genre_samples(seqs.genres), probs, FeatureMode.GENRE_ONLY)
         for i, window in enumerate(seqs.genres):
             assert np.array_equal(ds.inputs[i], window[:4])
             assert np.array_equal(ds.targets[i], window[4])
@@ -195,7 +195,7 @@ class TestBuildDataset:
         seqs = self.sequences(9)
         probs = np.full((19, 19), 1.0 / 19)
         for mode in FeatureMode:
-            ds = featurize(genre_samples(seqs), probs, mode)
+            ds = featurize(genre_samples(seqs.genres), probs, mode)
             assert len(ds) == 9
             assert ds.inputs.shape == (9, 4, feature_dim(mode))
 
@@ -203,7 +203,7 @@ class TestBuildDataset:
         seq = make_sequence([["War"]] * 5)
         probs = np.eye(19)
         for mode in FeatureMode:
-            ds = featurize(genre_samples(seq), probs, mode)
+            ds = featurize(genre_samples(seq.genres), probs, mode)
             for t in range(1, 4):
                 assert np.array_equal(ds.inputs[0, t], ds.inputs[0, 0])
 
@@ -223,7 +223,7 @@ class TestBuildDataset:
         rng = np.random.default_rng(29)
         probs = normalize_transitions(rng.integers(0, 9, size=(19, 19)).astype(float))
         seqs = stack_users([self.sequences(40, seed=28), random_users(rng, 160, max_genres=8, first_id=100)])
-        samples = genre_samples(seqs)
+        samples = genre_samples(seqs.genres)
         trimmed, dropped = apply_trim_to_dataset(samples, range(0, 19, 3))
         assert trimmed and dropped
         for batch in (samples, trimmed):
@@ -250,7 +250,7 @@ class TestBuildDataset:
         # float64 table give the same bits in every mode.
         rng = np.random.default_rng(30)
         probs = normalize_transitions(rng.integers(0, 9, size=(19, 19)).astype(float))
-        samples = genre_samples(random_users(rng, 120, max_genres=6))
+        samples = genre_samples(random_users(rng, 120, max_genres=6).genres)
         assert samples.inputs.dtype == np.uint8
         table = Dataset(samples.inputs.astype(np.float64), samples.targets.astype(np.float64))
         for mode in FeatureMode:
@@ -286,12 +286,12 @@ class TestBuildDataset:
     def test_featurize_no_samples(self):
         probs = np.full((19, 19), 1.0 / 19)
         for mode in FeatureMode:
-            ds = featurize(genre_samples(users_from(np.zeros((0, 5, 19)))), probs, mode)
+            ds = featurize(genre_samples(users_from(np.zeros((0, 5, 19))).genres), probs, mode)
             assert ds.inputs.shape == (0, 4, feature_dim(mode))
             assert ds.targets.shape == (0, 19)
 
     def test_featurize_rejects_empty_input_step(self):
-        raw = genre_samples(self.sequences(3, seed=34))
+        raw = genre_samples(self.sequences(3, seed=34).genres)
         steps = raw.inputs.copy()
         steps[1, 2] = 0.0
         samples = Dataset(steps, raw.targets)
@@ -305,12 +305,12 @@ class TestTransitionModel:
     def test_from_sequences_consistent(self):
         rng = np.random.default_rng(30)
         seqs = random_users(rng, 10)
-        model = TransitionModel.from_sequences(0, seqs)
-        assert np.array_equal(model.counts, count_transitions(seqs))
+        model = TransitionModel.from_sequences(0, seqs.genres)
+        assert np.array_equal(model.counts, count_transitions(seqs.genres))
         assert np.allclose(model.probs, normalize_transitions(model.counts))
 
     def test_inconsistent_probs_rejected(self):
-        counts = count_transitions(users_from(np.zeros((0, 5, 19))))
+        counts = count_transitions(users_from(np.zeros((0, 5, 19))).genres)
         with pytest.raises(ValueError):
             TransitionModel(0, counts, np.eye(19))
 
@@ -322,7 +322,7 @@ class TestTransitionModel:
         planted = raw / raw.sum(axis=1, keepdims=True)
         spec = SyntheticSpec(10_000, planted, genres_per_movie=(1, 1), seed=77)
         sequences, _ = generate_synthetic(spec)
-        estimate = normalize_transitions(count_transitions(sequences))
+        estimate = normalize_transitions(count_transitions(sequences.genres))
         assert np.max(np.abs(estimate - planted)) < 0.02
 
 
