@@ -22,17 +22,18 @@ from genreseq import (
 rng = np.random.default_rng(3)
 
 # --- single steps --------------------------------------------------------
-# One step is a 1-step sequence; cache["h"][t] holds h_t for each sample.
+# One step is a 1-step sequence of a batch of one; cache["h"][t] holds
+# h_t for each sample.
 params = init_params(CellKind.RNN, input_dim=19, hidden_dim=6, init_scale=0.3, seed=0)
 x_t = rng.uniform(0, 1, 19)
-_, cache = forward_sequence(x_t[None], params)
+_, cache = forward_sequence(x_t[None, None], params)
 h = cache["h"][1][0]
 print("one RNN step from zero state:", np.round(h, 3).tolist())
 
 # --- full forward + loss ---------------------------------------------------
-inputs = rng.uniform(0, 1, (4, 19))
-target = np.zeros(19)
-target[[0, 7, 14]] = 1.0
+inputs = rng.uniform(0, 1, (1, 4, 19))  # a batch of one 4-step sample
+target = np.zeros((1, 19))
+target[0, [0, 7, 14]] = 1.0
 y, cache = forward_sequence(inputs, params)
 print(f"\nsequence output: genre probabilities in (0,1); loss {bce_loss(y, target):.4f}")
 

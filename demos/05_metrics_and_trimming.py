@@ -51,7 +51,7 @@ for name in ("Action", "Comedy", "Drama", "Thriller"):
     counts[:, genre_index(name)] = 3
 counts[:7, genre_index("War")] = 1
 counts[:4, genre_index("Documentary")] = 1
-matrix = MovieGenreMatrix(cluster=3, counts=counts, length=100)
+matrix = MovieGenreMatrix(counts)
 
 trimmed, zeroed = trim_genres(matrix, theta=0.1)
 named = [GENRES[j] for j in sorted(zeroed) if counts[:, j].sum() > 0]

@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="synthetic_users",
         type=int,
         metavar="N_USERS",
-        help="skip files; generate N users from a seeded planted-chain model",
+        help="generate N users from a seeded planted-chain model, in place of --ratings and --movies",
     )
     parser.add_argument("--k", type=int, help=f"number of user clusters (default {_DEFAULTS.k})")
     parser.add_argument("--eta", type=float, help=f"trim-cluster selection threshold (default {_DEFAULTS.eta})")
@@ -168,7 +168,6 @@ def build_config(settings: dict) -> ExperimentConfig:
         batch_size=_value(settings, "batch_size", _whole),
         hidden_dim=_value(settings, "hidden_dim", _whole),
         init_scale=_value(settings, "init_scale", _real),
-        seed=seed,
     )
     return ExperimentConfig(
         ratings_path=_value(settings, "ratings", os.fspath),

@@ -38,15 +38,11 @@ class TooFewUsers(GenreSeqError):
 
 
 class ShapeMismatch(GenreSeqError):
-    """Array arguments whose shapes do not agree with the network parameters."""
+    """Array arguments whose shapes disagree: with the network parameters, or with each other."""
 
 
 class EmptyDataset(GenreSeqError):
     """Training requested on a dataset with no samples."""
-
-
-class LengthMismatch(GenreSeqError):
-    """Prediction and target collections of different sizes."""
 
 
 class NonFinitePrediction(GenreSeqError):

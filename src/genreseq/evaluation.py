@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFinitePrediction
+from .errors import NonFinitePrediction, ShapeMismatch
 from .genres import N_GENRES
 from .ingest import SEQUENCE_LENGTH
 from .transitions import Dataset
@@ -71,7 +71,7 @@ def confusion_counts(
     preds = np.asarray(predictions)
     targs = np.asarray(targets)
     if preds.shape != targs.shape:
-        raise LengthMismatch(f"predictions {preds.shape} vs targets {targs.shape}")
+        raise ShapeMismatch(f"predictions {preds.shape} vs targets {targs.shape}")
     finite = np.count_nonzero(np.isfinite(preds))
     if finite != preds.size:
         raise NonFinitePrediction(preds.size - finite, preds.size)
@@ -126,14 +126,15 @@ class MovieGenreMatrix:
     ``length`` is the cluster's total movie events (5 per member).
     """
 
-    cluster: int
     counts: np.ndarray
-    length: int
+
+    @property
+    def length(self) -> int:
+        return SEQUENCE_LENGTH * len(self.counts)
 
     @classmethod
-    def from_sequences(cls, cluster: int, genres: np.ndarray) -> "MovieGenreMatrix":
-        counts = genres.sum(axis=1, dtype=np.int64)
-        return cls(cluster, counts, SEQUENCE_LENGTH * len(genres))
+    def from_sequences(cls, genres: np.ndarray) -> "MovieGenreMatrix":
+        return cls(genres.sum(axis=1, dtype=np.int64))
 
 
 def trim_genres(m: MovieGenreMatrix, theta: float) -> tuple[MovieGenreMatrix, frozenset[int]]:
@@ -150,7 +151,7 @@ def trim_genres(m: MovieGenreMatrix, theta: float) -> tuple[MovieGenreMatrix, fr
     zeroed = frozenset(int(j) for j in np.flatnonzero(totals < cutoff))
     trimmed = m.counts.copy()
     trimmed[:, sorted(zeroed)] = 0
-    return MovieGenreMatrix(m.cluster, trimmed, m.length), zeroed
+    return MovieGenreMatrix(trimmed), zeroed
 
 
 def apply_trim_to_dataset(samples: Dataset, zeroed: Iterable[int]) -> tuple[Dataset, int]:

@@ -68,8 +68,9 @@ STAGES = (
 class ExperimentConfig:
     """Everything one experiment needs; all randomness flows from ``seed``.
 
-    A bad value raises ``ValueError`` when the config is built; the data
-    source is checked when :func:`run_experiment` reads it.  ``train.seed``
+    A bad value, or a synthetic spec given with a CSV path, raises
+    ``ValueError`` when the config is built; a missing data source is
+    found when :func:`run_experiment` reads it.  ``train.seed``
     has no effect on a run: the run replaces it with each fit's seed,
     derived from ``seed``, the fit's role, the cell and the feature mode.
     """
@@ -103,6 +104,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} (--{flag}) must be >= 1, got {value}")
+        for name, flag in (("ratings_path", "ratings"), ("movies_path", "movies")):
+            if self.synthetic is not None and getattr(self, name) is not None:
+                raise ValueError(
+                    f"synthetic (--synthetic) and {name} (--{flag}) are both set; give one data source"
+                )
 
 
 @dataclass(frozen=True)
@@ -286,7 +292,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             np.flatnonzero(selection), config.split_fraction, derive_seed(config.seed, *split_role)
         )
         train_genres = genres[train_rows]
-        probs[g] = TransitionModel.from_sequences(g, train_genres).probs
+        probs[g] = TransitionModel.from_sequences(train_genres).probs
         samples[g] = (genre_samples(train_genres), genre_samples(genres[test_rows]))
     untested = tuple(c for c in clusters if not samples[c][1])
     if len(untested) == len(clusters):
@@ -331,7 +337,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             retrain = {}
             for c in sorted(set().union(*selected.values())):
                 chosen = [mode for mode in modes if c in selected[mode]]
-                mgm = MovieGenreMatrix.from_sequences(c, genres[groups[c][0]])
+                mgm = MovieGenreMatrix.from_sequences(genres[groups[c][0]])
                 _, zeroed = trim_genres(mgm, config.theta)
                 if not zeroed:
                     reason = "trim zeroed no genre"

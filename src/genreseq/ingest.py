@@ -107,8 +107,10 @@ class Users:
         if not self.genres.any(axis=2).all():
             raise ValueError("every movie needs at least one genre")
         _check_ratings(self.rating)
-        later = np.diff(self.timestamp, axis=1)
-        if not np.all((later > 0) | ((later == 0) & (np.diff(self.movie_id, axis=1) >= 0))):
+        # Adjacent events compared as one-byte booleans, with no int64 differences.
+        t0, t1 = self.timestamp[:, :-1], self.timestamp[:, 1:]
+        m0, m1 = self.movie_id[:, :-1], self.movie_id[:, 1:]
+        if not np.all((t1 > t0) | ((t1 == t0) & (m1 >= m0))):
             raise ValueError("events not ordered by (timestamp, movie_id)")
 
     def __len__(self) -> int:

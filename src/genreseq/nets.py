@@ -52,7 +52,7 @@ The kernels (``forward_sequence``, ``backward``, ``bce_loss``) take an
 optional leading model axis: when every weight of a :class:`NetParams`
 has one extra leading axis of length M, the params are a stack of M
 models of one cell and shape.  Inputs are then (M, B, T, d) and targets
-(M, B, o); every GEMM is a batched ``np.matmul`` (one BLAS call per
+(M, B, 19); every GEMM is a batched ``np.matmul`` (one BLAS call per
 model), reductions run over each model's rows, and ``bce_loss`` returns
 one mean per model, each bit for bit a lone call's.  :func:`train` steps
 a ragged stack of fits: per batch, one call of each kernel for each run
@@ -114,11 +114,10 @@ class NetParams:
     cell: CellKind
     input_dim: int
     hidden_dim: int
-    output_dim: int
     weights: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        expected = parameter_shapes(self.cell, self.input_dim, self.hidden_dim, self.output_dim)
+        expected = parameter_shapes(self.cell, self.input_dim, self.hidden_dim)
         if set(self.weights) != set(expected):
             raise ShapeMismatch(
                 f"parameter names {sorted(self.weights)} != {sorted(expected)}"
@@ -136,12 +135,10 @@ class NetParams:
         return self.weights["V"].shape[:-2]
 
 
-def parameter_shapes(
-    cell: CellKind, input_dim: int, hidden_dim: int, output_dim: int = N_GENRES
-) -> dict[str, tuple[int, ...]]:
-    """Name -> shape map for a cell; gate matrices span [h, x] columns."""
-    d, h, o = input_dim, hidden_dim, output_dim
-    head = {"V": (o, h), "b_out": (o,)}
+def parameter_shapes(cell: CellKind, input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape map for a cell; gate matrices span [h, x] columns, the head 19 genres."""
+    d, h = input_dim, hidden_dim
+    head = {"V": (N_GENRES, h), "b_out": (N_GENRES,)}
     if cell is CellKind.RNN:
         return {"U": (h, d), "W": (h, h), "b": (h,), **head}
     if cell is CellKind.LSTM:
@@ -157,7 +154,6 @@ def init_params(
     cell: CellKind,
     input_dim: int,
     hidden_dim: int,
-    output_dim: int = N_GENRES,
     init_scale: float = 0.1,
     seed: int | None = None,
     rng: np.random.Generator | None = None,
@@ -165,9 +161,9 @@ def init_params(
     """Uniform init in [-init_scale, init_scale] for every parameter."""
     if rng is None:
         rng = np.random.default_rng(seed)
-    shapes = parameter_shapes(cell, input_dim, hidden_dim, output_dim)
+    shapes = parameter_shapes(cell, input_dim, hidden_dim)
     weights = {k: rng.uniform(-init_scale, init_scale, s) for k, s in shapes.items()}
-    return NetParams(cell, input_dim, hidden_dim, output_dim, weights)
+    return NetParams(cell, input_dim, hidden_dim, weights)
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -263,16 +259,13 @@ def _gru_cell(zcat: np.ndarray, wt: Sequence[np.ndarray], out: np.ndarray, acat:
 def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray, dict]:
     """Run the cell over the input steps and apply the sigmoid head.
 
-    ``inputs`` is (T, d) for one sample or (B, T, d) for a batch, and
-    (M, B, T, d) for a stack of M models; the initial hidden (and cell)
+    ``inputs`` is (B, T, d) for a batch, or (M, B, T, d) for a stack of M
+    models; one sample is a batch of one.  The initial hidden (and cell)
     state is zero, and T must be at least 1.  Returns per-genre
     probabilities and a cache of every activation the backward pass needs.
     """
     x = np.asarray(inputs, dtype=params.weights["V"].dtype)
     stack = params.stack
-    single = not stack and x.ndim == 2
-    if single:
-        x = x[None]
     if x.ndim != len(stack) + 3 or x.shape[:-3] != stack or x.shape[-1] != params.input_dim:
         lead = "".join(f"{m}, " for m in stack)
         raise ShapeMismatch(
@@ -317,7 +310,7 @@ def forward_sequence(inputs: np.ndarray, params: NetParams) -> tuple[np.ndarray,
     z = hs[-1] @ w["V"].swapaxes(-1, -2)
     z += w["b_out"][..., None, :]
     y = _sigmoid(z, out=z)
-    return (y[0] if single else y), {"xs": xs, "h": hs, "y": y, "acts": acts, **cache}
+    return y, {"xs": xs, "h": hs, "y": y, "acts": acts, **cache}
 
 
 def _rows(v: np.ndarray, n: int) -> np.ndarray:
@@ -328,7 +321,7 @@ def _rows(v: np.ndarray, n: int) -> np.ndarray:
 def bce_loss(y: np.ndarray, target: np.ndarray) -> float | np.ndarray:
     """Mean over all cells of -[t ln y + (1 - t) ln(1 - y)], y clipped.
 
-    For a stack's (M, B, o) arrays, one mean per model, over its own rows.
+    For a stack's (M, B, 19) arrays, one mean per model, over its own rows.
     """
     y = np.asarray(y, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -378,7 +371,9 @@ def backward(
     xs = cache["xs"]
     steps = len(xs)
     y = cache["y"]
-    target = np.asarray(target, dtype=y.dtype).reshape(y.shape)
+    target = np.asarray(target, dtype=y.dtype)
+    if target.shape != y.shape:
+        raise ShapeMismatch(f"target {target.shape} vs output {y.shape}")
 
     dz_out = (y - target) / (y.shape[-2] * y.shape[-1])
     hs, acts = cache["h"], cache["acts"]
@@ -460,17 +455,16 @@ _PREDICT_ROWS = 4096
 
 
 def predict(params: NetParams, inputs: np.ndarray) -> np.ndarray:
-    """Per-genre probabilities; each chunk's activation cache is built and dropped.
+    """One model's per-genre probabilities for (N, T, d) inputs, a chunk's activation cache at a time.
 
     Inputs are cast to the params' dtype (float32 for trained params) one
     chunk at a time, inside ``forward_sequence``.
     """
     x = np.asarray(inputs)
-    chunks = -(-x.shape[-3] // _PREDICT_ROWS) if x.ndim >= 3 else 1
+    chunks = -(-len(x) // _PREDICT_ROWS)
     if chunks <= 1:
         return forward_sequence(x, params)[0]
-    parts = np.array_split(x, chunks, axis=-3)
-    return np.concatenate([forward_sequence(part, params)[0] for part in parts], axis=-2)
+    return np.concatenate([forward_sequence(part, params)[0] for part in np.array_split(x, chunks)])
 
 
 # train gathers each epoch in blocks of about this many rows per stack, and
@@ -505,9 +499,11 @@ def train(
     config = configs[0]
     if any(replace(c, seed=config.seed) != config for c in configs):
         raise ValueError("a stack's configs may differ only in their seeds")
-    shapes = {(d.inputs.shape[1:], d.targets.shape[1:]) for d in datasets}
+    shapes = {d.inputs.shape[1:] for d in datasets}
     if len(shapes) > 1:
-        raise ShapeMismatch(f"stacked datasets differ: samples -> targets of {sorted(shapes)}")
+        raise ShapeMismatch(f"stacked datasets differ: samples of {sorted(shapes)}")
+    if any(d.targets.shape[1:] != (N_GENRES,) for d in datasets):
+        raise ShapeMismatch(f"targets must be {N_GENRES} genres wide")
     if not all(len(d) for d in datasets):
         raise EmptyDataset("no training samples")
     order = sorted(range(len(datasets)), key=lambda m: -len(datasets[m]))
@@ -525,8 +521,8 @@ def _train_stack(
     config = configs[0]
     batch = config.batch_size
     lengths = np.array([len(d) for d in datasets])
-    in_shape, out_shape = datasets[0].inputs.shape[1:], datasets[0].targets.shape[1:]
-    dims = (in_shape[-1], config.hidden_dim, out_shape[0])
+    in_shape = datasets[0].inputs.shape[1:]
+    dims = (in_shape[-1], config.hidden_dim)
     rngs = [np.random.default_rng(c.seed) for c in configs]
     inits = [init_params(cell, *dims, config.init_scale, rng=rng).weights for rng in rngs]
     # Parameters, gradient and velocity each live in one (M, P) buffer, a
@@ -553,7 +549,7 @@ def _train_stack(
         for lo, hi in {run[:2] for _, _, steps in plan for _, runs in steps for run in runs}
     }
     xblock = np.empty((len(datasets), min(block, lengths[0]), *in_shape), np.float32)
-    tblock = np.empty((len(datasets), min(block, lengths[0]), *out_shape), np.float32)
+    tblock = np.empty((len(datasets), min(block, lengths[0]), N_GENRES), np.float32)
     losses: list[np.ndarray] = []
     for _ in range(config.epochs):
         orders = [rng.permutation(n) for rng, n in zip(rngs, lengths)]

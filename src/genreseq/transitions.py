@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyGenreSupport
-from .genres import GENRES, N_GENRES, is_row_stochastic
+from .genres import GENRES, N_GENRES
 from .ingest import SEQUENCE_LENGTH
 
 
@@ -39,24 +39,21 @@ def feature_dim(mode: FeatureMode) -> int:
 
 @dataclass(frozen=True)
 class TransitionModel:
-    """Raw pair counts and the row-stochastic matrix they normalize to."""
+    """Raw pair counts; ``probs`` is the row-stochastic matrix they normalize to."""
 
-    cluster: int
     counts: np.ndarray
-    probs: np.ndarray
 
     def __post_init__(self):
         if self.counts.shape != (N_GENRES, N_GENRES):
             raise ValueError(f"counts shape {self.counts.shape}")
-        if not is_row_stochastic(self.probs):
-            raise ValueError("probs must be row-stochastic")
-        if not np.allclose(self.probs, normalize_transitions(self.counts)):
-            raise ValueError("probs do not match normalized counts")
+
+    @property
+    def probs(self) -> np.ndarray:
+        return normalize_transitions(self.counts)
 
     @classmethod
-    def from_sequences(cls, cluster: int, genres: np.ndarray) -> "TransitionModel":
-        counts = count_transitions(genres)
-        return cls(cluster, counts, normalize_transitions(counts))
+    def from_sequences(cls, genres: np.ndarray) -> "TransitionModel":
+        return cls(count_transitions(genres))
 
 
 # count_transitions casts this many users' genres to float32 at a time
@@ -123,11 +120,11 @@ class Dataset:
 
 
 def genre_samples(genres: np.ndarray) -> Dataset:
-    """Raw (``GenreOnly``) samples of (n, 5, 19) genres: each user's 4 input rows and 5th-movie target.
+    """Raw (``GenreOnly``) samples of (n, 5, 19) genres: each user's earlier movies in, the last one out.
 
     Both are views of ``genres``.
     """
-    return Dataset(genres[:, :4], genres[:, 4])
+    return Dataset(genres[:, :-1], genres[:, -1])
 
 
 # featurize computes this many samples' steps in float64 at a time (a 156 KB
@@ -148,16 +145,16 @@ def featurize(samples: Dataset, probs: np.ndarray, mode: FeatureMode) -> Dataset
     and predict in.  ``GenreOnly`` returns ``samples`` itself, not a copy.
     """
     steps = samples.inputs
-    n = len(samples)
+    n, t = steps.shape[:2]
     dim = feature_dim(mode)
-    support_rows = np.empty((4 * min(n, _FEATURIZE_ROWS), N_GENRES))
+    support_rows = np.empty((t * min(n, _FEATURIZE_ROWS), N_GENRES))
     sizes_rows = np.empty(len(support_rows))
-    inputs = None if mode is FeatureMode.GENRE_ONLY else np.empty((n, 4, dim), np.float32)
-    work = np.empty((min(n, _FEATURIZE_ROWS), 4, dim))
+    inputs = None if mode is FeatureMode.GENRE_ONLY else np.empty((n, t, dim), np.float32)
+    work = np.empty((min(n, _FEATURIZE_ROWS), t, dim))
     for first in range(0, n, _FEATURIZE_ROWS):
         block = steps[first : first + _FEATURIZE_ROWS]
-        # Contiguous slabs, so each reshape is a view: (b, 4, .) <-> (4b, .).
-        support = support_rows[: 4 * len(block)]
+        # Contiguous slabs, so each reshape is a view: (b, t, .) <-> (tb, .).
+        support = support_rows[: t * len(block)]
         np.not_equal(block, 0, out=support.reshape(block.shape))
         sizes = np.add.reduce(support, axis=1, out=sizes_rows[: len(support)])
         if not sizes.all():

@@ -44,8 +44,8 @@ def test_criterion_1_gradient_fidelity():
         for trial in range(20):
             rng = np.random.default_rng(1000 + trial)
             params = init_params(cell, input_dim=19, hidden_dim=8, init_scale=0.5, seed=2000 + trial)
-            x = rng.uniform(0, 1, (4, 19))
-            target = (rng.uniform(size=19) < 0.3).astype(float)
+            x = rng.uniform(0, 1, (1, 4, 19))
+            target = (rng.uniform(size=(1, 19)) < 0.3).astype(float)
             _, cache = forward_sequence(x, params)
             analytic = backward(cache, target, params)
             numeric = fd_gradients(params, x, target, step=1e-5)
@@ -102,7 +102,7 @@ def test_criterion_3_worked_example_fidelity():
     doc, war = genre_index("Documentary"), genre_index("War")
     counts[:9, war] = counts[:9, war] + 1  # total 9 < 10
     counts[:4, doc] = 1  # total 4 < 10
-    matrix = MovieGenreMatrix(0, counts, 100)
+    matrix = MovieGenreMatrix(counts)
     trimmed, zeroed = trim_genres(matrix, theta=0.1)
     expected = {int(j) for j in np.flatnonzero(counts.sum(axis=0) < 10)}
     trim_ok = (

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from genreseq.errors import GenreSeqError, LengthMismatch, NonFinitePrediction
+from genreseq.errors import GenreSeqError, NonFinitePrediction, ShapeMismatch
 from genreseq.evaluation import (
     ClusterMetrics,
     ConfusionCounts,
@@ -30,9 +30,9 @@ class TestConfusionCounts:
         assert (c.tp, c.fp, c.fn, c.tn) == (0, 0, 1, 1)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ShapeMismatch):
             confusion_counts(np.zeros((3, 19)), np.zeros((4, 19)))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ShapeMismatch):
             confusion_counts(np.zeros((3, 19)), np.zeros((3, 18)))
 
     def test_non_finite_predictions_raise(self):
@@ -170,7 +170,7 @@ class TestMovieGenreMatrix:
             make_sequence([["Action"], ["Action", "Comedy"], ["Drama"], ["Drama"], ["Action"]]),
             make_sequence([["Comedy"]] * 5, user_id=2),
         ])
-        m = MovieGenreMatrix.from_sequences(0, seqs.genres)
+        m = MovieGenreMatrix.from_sequences(seqs.genres)
         assert m.length == 10
         A, C, Dr = genre_index("Action"), genre_index("Comedy"), genre_index("Drama")
         assert m.counts[0, A] == 3
@@ -180,7 +180,7 @@ class TestMovieGenreMatrix:
 
     def test_rows_sum_at_least_five(self):
         rng = np.random.default_rng(65)
-        m = MovieGenreMatrix.from_sequences(0, random_users(rng, 10).genres)
+        m = MovieGenreMatrix.from_sequences(random_users(rng, 10).genres)
         assert np.all(m.counts.sum(axis=1) >= 5)
 
 
@@ -196,7 +196,7 @@ class TestTrimGenres:
                 counts[u, j] = 3
         counts[0, doc] = 4  # total 4 < 10
         counts[1, war] = 9  # total 9 < 10
-        return MovieGenreMatrix(0, counts, 100)
+        return MovieGenreMatrix(counts)
 
     def test_rare_columns_zeroed(self):
         m = self.hundred_event_matrix()
@@ -218,7 +218,7 @@ class TestTrimGenres:
 
     def test_no_op_when_all_frequent(self):
         counts = np.full((4, 19), 2, dtype=np.int64)  # totals 8 of length 20
-        m = MovieGenreMatrix(0, counts, 20)
+        m = MovieGenreMatrix(counts)
         trimmed, zeroed = trim_genres(m, theta=0.1)
         assert zeroed == frozenset()
         assert np.array_equal(trimmed.counts, counts)
@@ -234,7 +234,7 @@ class TestTrimGenres:
         rng = np.random.default_rng(67)
         for _ in range(25):
             counts = rng.integers(0, 4, size=(12, 19)).astype(np.int64)
-            m = MovieGenreMatrix(0, counts, 60)
+            m = MovieGenreMatrix(counts)
             theta = float(rng.uniform(0.05, 0.5))
             trimmed, zeroed = trim_genres(m, theta)
             totals = counts.sum(axis=0)

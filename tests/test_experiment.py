@@ -290,6 +290,19 @@ class TestRunExperiment:
         run_experiment(small_config(b_dir))
         assert (a_dir / "report.csv").read_bytes() == (b_dir / "report.csv").read_bytes()
 
+    def test_train_seed_has_no_effect(self, tmp_path):
+        # Each fit's seed derives from the run seed, its role, the cell and
+        # the mode; the run replaces train.seed with it.  The config
+        # retrains a cluster, so BC, AC and AT fits are all covered.
+        base = small_config(modes=(FeatureMode.PRODUCT, FeatureMode.GENRE_ONLY))
+        reports = [
+            run_experiment(replace(base, out_dir=tmp_path / str(seed), train=replace(base.train, seed=seed)))
+            for seed in (0, 12345)
+        ]
+        assert reports[0] == reports[1]
+        for name in ("report.csv", "report.json"):
+            assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "12345" / name).read_bytes()
+
     def test_max_users_subsample(self, tmp_path):
         config = small_config(tmp_path, max_users=40)
         report = run_experiment(config)
@@ -314,10 +327,14 @@ class TestRunExperiment:
             ({"max_users": 0}, r"max_users \(--max-users\) must be >= 1, got 0"),
             ({"cells": ()}, "no cells given"),
             ({"modes": ()}, "no modes given"),
+            # small_config's users are synthetic: a CSV path is a second source.
+            ({"ratings_path": "r.csv"}, r"synthetic \(--synthetic\) and ratings_path \(--ratings\) are both set"),
+            ({"movies_path": "m.csv"}, r"synthetic \(--synthetic\) and movies_path \(--movies\) are both set"),
         ],
         ids=[
             "eta-1.5", "eta-0", "theta-1.5", "theta-0", "split-1",
             "k-0", "k-neg", "max_users-0", "no-cells", "no-modes",
+            "synthetic-and-ratings", "synthetic-and-movies",
         ],
     )
     def test_bad_value_rejected_before_ingest(self, monkeypatch, overrides, message):
@@ -590,6 +607,11 @@ class TestCli:
             (["--k", "0"], "k (--k) must be >= 1, got 0"),
             (["--synthetic", "0"], "n_users must be >= 1"),
             (["--learning-rate", "nan"], "learning_rate must be finite and >= 0, got nan"),
+            # Neither CSV exists: a run that took the synthetic users exited 0.
+            (
+                ["--ratings", "missing/r.csv", "--movies", "missing/m.csv"],
+                "synthetic (--synthetic) and ratings_path (--ratings) are both set",
+            ),
         ],
     )
     def test_invalid_run_is_diagnosed(self, tmp_path, capsys, flags, message):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -437,6 +438,21 @@ class TestSequenceInvariants:
         with pytest.raises(ValueError):
             Users(**columns(timestamp=np.zeros((1, 5), dtype=np.int64), movie_id=np.array([[5, 4, 3, 2, 1]])))
         Users(**columns(timestamp=np.zeros((1, 5), dtype=np.int64)))
+
+    def test_order_check_holds_no_int64_temporary(self):
+        # The columns are given in their stored dtypes, so Users copies
+        # none of them; every traced byte is a check's temporary.  Two
+        # int64 (n, 4) differences of the adjacent columns made the order
+        # check the peak of a large table's validation.
+        n = 20_000
+        cols = columns(n, genres=np.tile(np.eye(19, dtype=np.uint8)[0], (n, 5, 1)))
+        tracemalloc.start()
+        try:
+            Users(**cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 4 * np.dtype(np.int64).itemsize
 
     def test_empty_genre_row_rejected(self):
         with pytest.raises(ValueError):

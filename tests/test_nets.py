@@ -54,7 +54,7 @@ D, H = 19, 8
 def zero_params(cell, input_dim=D, hidden_dim=H):
     shapes = parameter_shapes(cell, input_dim, hidden_dim)
     weights = {k: np.zeros(s) for k, s in shapes.items()}
-    return NetParams(cell, input_dim, hidden_dim, 19, weights)
+    return NetParams(cell, input_dim, hidden_dim, weights)
 
 
 def random_params(cell, seed, scale=0.5):
@@ -176,19 +176,19 @@ class TestForwardSequence:
     def test_zero_params_give_half_probabilities(self):
         for cell in CellKind:
             params = zero_params(cell)
-            y, _ = forward_sequence(np.ones((4, D)), params)
+            y, _ = forward_sequence(np.ones((1, 4, D)), params)
             assert np.allclose(y, 0.5)
 
     def test_saturated_output_row(self):
         params = zero_params(CellKind.RNN)
         params.weights["b"][:] = 25.0  # hidden saturates near 1
         params.weights["V"][3, :] = 40.0
-        y, _ = forward_sequence(np.zeros((4, D)), params)
-        assert y[3] > 0.999999
+        y, _ = forward_sequence(np.zeros((1, 4, D)), params)
+        assert y[0, 3] > 0.999999
 
     def test_deterministic(self):
         params = random_params(CellKind.GRU, seed=45)
-        x = np.random.default_rng(45).uniform(0, 1, (4, D))
+        x = np.random.default_rng(45).uniform(0, 1, (1, 4, D))
         y1, _ = forward_sequence(x, params)
         y2, _ = forward_sequence(x, params)
         assert np.array_equal(y1, y2)
@@ -196,7 +196,7 @@ class TestForwardSequence:
     def test_probabilities_in_open_interval(self):
         for cell in CellKind:
             params = random_params(cell, seed=46, scale=1.5)
-            x = np.random.default_rng(46).uniform(0, 1, (4, D))
+            x = np.random.default_rng(46).uniform(0, 1, (1, 4, D))
             y, _ = forward_sequence(x, params)
             assert np.all(y > 0.0) and np.all(y < 1.0)
 
@@ -214,16 +214,18 @@ class TestForwardSequence:
             x = np.random.default_rng(48).uniform(0, 1, (3, 4, D))
             batch_y, _ = forward_sequence(x, params)
             for i in range(3):
-                single_y, _ = forward_sequence(x[i], params)
-                assert np.allclose(batch_y[i], single_y)
+                single_y, _ = forward_sequence(x[i][None], params)
+                assert np.allclose(batch_y[i], single_y[0])
 
     def test_bad_input_shape(self):
         params = zero_params(CellKind.RNN)
         with pytest.raises(ShapeMismatch):
-            forward_sequence(np.zeros((4, D + 2)), params)
+            forward_sequence(np.zeros((1, 4, D + 2)), params)
+        with pytest.raises(ShapeMismatch):  # one sample is a batch of one
+            forward_sequence(np.zeros((4, D)), params)
 
     @pytest.mark.parametrize("cell", list(CellKind))
-    @pytest.mark.parametrize("shape", [(3, 0, D), (0, D)])
+    @pytest.mark.parametrize("shape", [(3, 0, D), (1, 0, D)])
     def test_zero_steps_rejected(self, cell, shape):
         # With no step, backward would have no term to write into the
         # weight gradients and would hand back uninitialised memory.
@@ -231,7 +233,7 @@ class TestForwardSequence:
             forward_sequence(np.zeros(shape), random_params(cell, seed=60))
 
     @pytest.mark.parametrize("cell", list(CellKind))
-    @pytest.mark.parametrize("shape", [(5, 4, D), (4, D)])
+    @pytest.mark.parametrize("shape", [(5, 4, D), (1, 4, D)])
     def test_hidden_states_equal_chained_steps(self, cell, shape):
         # Every cached h_t equals the scalar oracle chained from h_0 = 0
         # over each sample's steps; the oracles share no code with nets.
@@ -312,7 +314,7 @@ def stacked(params_list):
     """One stack of the given lone params."""
     first = params_list[0]
     weights = {k: np.stack([p.weights[k] for p in params_list]) for k in first.weights}
-    return NetParams(first.cell, first.input_dim, first.hidden_dim, first.output_dim, weights)
+    return NetParams(first.cell, first.input_dim, first.hidden_dim, weights)
 
 
 # The gate-block kernels against the frozen per-gate ones, which keep the
@@ -427,8 +429,8 @@ class TestBackward:
         rng = np.random.default_rng(50)
         for trial, steps in enumerate((4, 4, 4, 1)):
             params = random_params(cell, seed=300 + trial)
-            x = rng.uniform(0, 1, (steps, D))
-            t = (rng.uniform(size=19) < 0.3).astype(float)
+            x = rng.uniform(0, 1, (1, steps, D))
+            t = (rng.uniform(size=(1, 19)) < 0.3).astype(float)
             _, cache = forward_sequence(x, params)
             analytic = backward(cache, t, params)
             numeric = fd_gradients(params, x, t)
@@ -450,16 +452,25 @@ class TestBackward:
             assert not np.isnan(out[key]).any(), key
             assert np.array_equal(out[key].view(np.uint64), grad.view(np.uint64)), key
 
+    def test_target_shape_must_match_output(self):
+        # A target that only broadcasts against the output would train
+        # every sample toward one row.
+        params = random_params(CellKind.RNN, seed=58)
+        _, cache = forward_sequence(np.zeros((2, 4, D)), params)
+        for shape in [(19,), (1, 19), (2 * 19,)]:
+            with pytest.raises(ShapeMismatch):
+                backward(cache, np.zeros(shape), params)
+
     def test_output_bias_closed_form(self):
         # With a mean-over-genres loss the head bias gradient for one
         # sample is (y - target) / n_genres; finite differences agree.
         params = random_params(CellKind.RNN, seed=51)
-        x = np.random.default_rng(51).uniform(0, 1, (4, D))
-        t = np.zeros(19)
-        t[[1, 5]] = 1.0
+        x = np.random.default_rng(51).uniform(0, 1, (1, 4, D))
+        t = np.zeros((1, 19))
+        t[0, [1, 5]] = 1.0
         y, cache = forward_sequence(x, params)
         grads = backward(cache, t, params)
-        assert np.allclose(grads["b_out"], (y - t) / 19.0)
+        assert np.allclose(grads["b_out"], (y - t)[0] / 19.0)
 
     def test_symmetric_targets_zero_bias_gradient(self):
         # Zero parameters put every output at 0.5; two complementary
@@ -483,8 +494,8 @@ class TestBackward:
         batch_grads = backward(cache, t, params)
         summed = None
         for i in range(4):
-            _, c1 = forward_sequence(x[i], params)
-            g1 = backward(c1, t[i], params)
+            _, c1 = forward_sequence(x[i][None], params)
+            g1 = backward(c1, t[i][None], params)
             summed = g1 if summed is None else {k: summed[k] + g1[k] for k in g1}
         for key in batch_grads:
             assert np.allclose(batch_grads[key], summed[key] / 4.0)
@@ -639,8 +650,7 @@ def per_tensor_train(dataset, cell, config, dtype=np.float32):
     n = len(dataset)
     rng = np.random.default_rng(config.seed)
     params = init_params(
-        cell, dataset.inputs.shape[2], config.hidden_dim, dataset.targets.shape[1],
-        init_scale=config.init_scale, rng=rng,
+        cell, dataset.inputs.shape[2], config.hidden_dim, init_scale=config.init_scale, rng=rng
     )
     params = replace(params, weights={k: v.astype(dtype) for k, v in params.weights.items()})
     velocity = {k: np.zeros_like(v) for k, v in params.weights.items()}
@@ -815,6 +825,10 @@ class TestTrainExactness:
         wide = Dataset(np.concatenate([ds.inputs, ds.inputs], axis=2), ds.targets)
         with pytest.raises(ShapeMismatch, match="stacked datasets differ"):
             train([ds, wide], CellKind.RNN, [PINNED_CONFIG] * 2)
+        narrow = Dataset(ds.inputs, ds.targets[:, :18])  # the head scores the 19 genres
+        for stack in ([narrow], [ds, narrow]):
+            with pytest.raises(ShapeMismatch, match="19 genres wide"):
+                train(stack, CellKind.RNN, [PINNED_CONFIG] * len(stack))
         with pytest.raises(ValueError, match="only in their seeds"):
             train([ds, ds], CellKind.RNN, [PINNED_CONFIG, replace(PINNED_CONFIG, epochs=5)])
         with pytest.raises(ValueError, match="2 datasets for 1 configs"):
@@ -893,7 +907,9 @@ class TestPredict:
 
     def test_one_sample_and_empty_set(self):
         params = random_params(CellKind.LSTM, seed=64)
-        x = np.random.default_rng(64).uniform(0, 1, (4, D))
+        x = np.random.default_rng(64).uniform(0, 1, (1, 4, D))
         assert same_bits(predict(params, x), forward_sequence(x, params)[0])
         assert predict(params, np.zeros((0, 4, D))).shape == (0, 19)
+        with pytest.raises(ShapeMismatch):  # one sample is a batch of one
+            predict(params, x[0])
 

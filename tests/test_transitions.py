@@ -305,14 +305,9 @@ class TestTransitionModel:
     def test_from_sequences_consistent(self):
         rng = np.random.default_rng(30)
         seqs = random_users(rng, 10)
-        model = TransitionModel.from_sequences(0, seqs.genres)
+        model = TransitionModel.from_sequences(seqs.genres)
         assert np.array_equal(model.counts, count_transitions(seqs.genres))
         assert np.allclose(model.probs, normalize_transitions(model.counts))
-
-    def test_inconsistent_probs_rejected(self):
-        counts = count_transitions(users_from(np.zeros((0, 5, 19))).genres)
-        with pytest.raises(ValueError):
-            TransitionModel(0, counts, np.eye(19))
 
     def test_planted_chain_recovered(self):
         # Single-genre movies drawn from a known chain: the estimator has
