@@ -26,25 +26,27 @@ from genreseq import (
     write_archetype_dataset,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="genreseq_experiment_"))
-movies_path, ratings_path = write_archetype_dataset(workdir, users_per_archetype=300, seed=0)
-print(f"wrote {movies_path.name} and {ratings_path.name} under {workdir}")
+with tempfile.TemporaryDirectory(prefix="genreseq_experiment_") as tmp:
+    workdir = Path(tmp)
+    movies_path, ratings_path = write_archetype_dataset(workdir, users_per_archetype=300, seed=0)
+    print(f"wrote {movies_path.name} and {ratings_path.name} under {workdir}")
 
-config = ExperimentConfig(
-    ratings_path=ratings_path,
-    movies_path=movies_path,
-    k=7,
-    cells=(CellKind.RNN,),
-    modes=(FeatureMode.PRODUCT,),
-    train=TrainConfig(epochs=120, seed=0),
-    seed=42,
-    out_dir=workdir / "results",
-    dump_transitions=True,
-)
+    config = ExperimentConfig(
+        ratings_path=ratings_path,
+        movies_path=movies_path,
+        k=7,
+        cells=(CellKind.RNN,),
+        modes=(FeatureMode.PRODUCT,),
+        train=TrainConfig(epochs=120, seed=0),
+        seed=42,
+        out_dir=workdir / "results",
+        dump_transitions=True,
+    )
 
-started = time.monotonic()
-report = run_experiment(config)
-print(f"pipeline finished in {time.monotonic() - started:.1f}s\n")
+    started = time.monotonic()
+    report = run_experiment(config)
+    print(f"pipeline finished in {time.monotonic() - started:.1f}s\n")
+    written = sorted(p.name for p in (workdir / "results").iterdir())
 
 print(f"{'stage':<9} {'cluster':<8} {'recall':>7} {'precision':>10} {'accuracy':>9} {'f1':>7}")
 for row in report.rows:
@@ -59,5 +61,4 @@ at_worst = report.get("RNN", "Product", "AT-worst")
 print(f"  clustering lifts the best cluster F1 to {best.f1:.3f} from the pooled {bc.f1:.3f}")
 print(f"  trimming moves the worst cluster recall {bt_worst.recall:.3f} -> {at_worst.recall:.3f}")
 
-written = sorted(p.name for p in (workdir / "results").iterdir())
 print(f"\nfiles in results/: {written}")

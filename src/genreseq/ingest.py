@@ -143,7 +143,7 @@ class MovieCatalog:
     skipped_no_genre: int = 0
 
     def __post_init__(self):
-        if self.genres.shape != (self.ids.size, N_GENRES) or np.any(np.diff(self.ids) <= 0):
+        if self.genres.shape != (self.ids.size, N_GENRES) or np.any(self.ids[1:] <= self.ids[:-1]):
             raise ValueError("catalog ids must be ascending and unique, one genre row each")
         object.__setattr__(self, "genres", _multi_hot(self.genres))
 

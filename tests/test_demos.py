@@ -17,8 +17,12 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "TMPDIR": str(tmp_path)}
+    # A temporary folder apart from the working directory: a demo must leave it empty.
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "TMPDIR": str(temp)}
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    assert not any(temp.iterdir())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from genreseq import experiment, nets
-from genreseq.cli import _CONFIG_KEYS, _build_parser, build_config, main
+from genreseq.cli import _KEYS, _build_parser, build_config, main
 from genreseq.datagen import write_archetype_dataset
 from genreseq.errors import EmptyDataset
 from genreseq.experiment import (
@@ -657,10 +657,12 @@ class TestCli:
         [
             ("k", None), ("cells", 5), ("max_users", "fifty"), ("out", 5), ("modes", ["Bogus"]),
             ("dump_transitions", "false"), ("k", 3.7), ("epochs", 2.5), ("k", True), ("learning_rate", True),
+            ("cells", "RNN"), ("modes", "Product"),
         ],
         ids=[
             "k-null", "cells-5", "max_users-fifty", "out-5", "modes-Bogus",
             "dump_transitions-false-string", "k-3.7", "epochs-2.5", "k-true", "learning_rate-true",
+            "cells-string", "modes-string",
         ],
     )
     def test_wrongly_typed_config_is_diagnosed(self, tmp_path, capsys, key, value):
@@ -670,17 +672,38 @@ class TestCli:
         assert main(["--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config key {key!r}: ") and err.count("\n") == 1
+        if key in ("cells", "modes") and not isinstance(value, list):
+            assert err == f"error: config key {key!r}: expected a list, got {value!r}\n"
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, key, value",
+        [
+            ("--k", "k", "abc"), ("--k", "k", "3.0"), ("--epochs", "epochs", "2.5"),
+            ("--cell", "cells", "Bogus"), ("--synthetic", "synthetic_users", "x"),
+        ],
+    )
+    def test_bad_flag_value_is_diagnosed_as_in_a_config_file(self, tmp_path, capsys, flag, key, value):
+        assert main(["--synthetic", "90", "--out", str(tmp_path), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key!r}: ") and err.count("\n") == 1
+        # --cell appends, so its config value is a list of the string.
+        value = [value] if flag == "--cell" else value
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"synthetic_users": "90", "out": str(tmp_path), key: value}))
+        assert main(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == err
         assert not (tmp_path / "report.csv").exists()
 
 
 def test_every_flag_stores_under_its_config_key():
     # The CLI merges parsed flags into the config settings by dest name.
     flags = set(vars(_build_parser().parse_args([]))) - {"config"}
-    assert flags <= set(_CONFIG_KEYS)
+    assert flags <= set(_KEYS)
 
 
 def test_default_settings_build_the_dataclass_defaults():
-    config = build_config(dict(_CONFIG_KEYS, synthetic_users=90))
+    config = build_config({"synthetic_users": 90})
     assert config.synthetic.n_users == 90
     for f in fields(ExperimentConfig):
         if f.name != "synthetic":
@@ -690,10 +713,31 @@ def test_default_settings_build_the_dataclass_defaults():
 
 
 def test_whole_floats_and_booleans_cast_to_their_keys():
-    config = build_config(dict(_CONFIG_KEYS, synthetic_users=90, k=3.0, dump_transitions=True))
+    config = build_config({"synthetic_users": 90, "k": 3.0, "dump_transitions": True})
     assert (config.k, type(config.k), config.dump_transitions) == (3, int, True)
 
 
 def test_config_numbers_given_as_strings_are_cast():
-    config = build_config(dict(_CONFIG_KEYS, synthetic_users="90", k="3", max_users="50"))
+    config = build_config({"synthetic_users": "90", "k": "3", "max_users": "50"})
     assert (config.synthetic.n_users, config.k, config.max_users) == (90, 3, 50)
+
+
+def test_every_key_reaches_its_field():
+    settings = {
+        "synthetic_users": "90", "k": "3", "eta": "0.25", "theta": "0.2", "cells": ["GRU", "LSTM"],
+        "modes": ["Sum", "Concat"], "seed": "5", "split": "0.7", "out": "results", "max_users": "50",
+        "epochs": "4", "hidden_dim": "8", "learning_rate": "0.1", "momentum": "0.5", "batch_size": "16",
+        "init_scale": "0.2", "dump_transitions": True,
+    }
+    assert set(settings) | {"ratings", "movies"} == set(_KEYS)
+    config = build_config(settings)
+    assert (config.synthetic.n_users, config.synthetic.seed) == (90, derive_seed(5, "synthetic"))
+    assert (config.k, config.eta, config.theta, config.seed, config.split_fraction) == (3, 0.25, 0.2, 5, 0.7)
+    assert config.cells == (CellKind.GRU, CellKind.LSTM)
+    assert config.modes == (FeatureMode.SUM, FeatureMode.CONCAT)
+    assert (config.out_dir, config.max_users, config.dump_transitions) == ("results", 50, True)
+    assert config.train == TrainConfig(
+        learning_rate=0.1, momentum=0.5, epochs=4, batch_size=16, hidden_dim=8, init_scale=0.2
+    )
+    files = build_config({"ratings": "r.csv", "movies": "m.csv"})
+    assert (files.ratings_path, files.movies_path) == ("r.csv", "m.csv")

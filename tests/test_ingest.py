@@ -93,6 +93,17 @@ class TestLoadMovies:
         catalog = load_movies(write(tmp_path, "movies.csv", "movieId,title,genres\n"))
         assert catalog.ids.shape == (0,) and catalog.genres.shape == (0, 19)
 
+    def test_ids_at_both_ends_of_int64(self, tmp_path):
+        # Their difference overflows int64, so the order check compares neighbours.
+        path = write(
+            tmp_path,
+            "movies.csv",
+            "movieId,title,genres\n9223372036854775807,A,Drama\n-9223372036854775808,B,Comedy\n",
+        )
+        catalog = load_movies(path)
+        assert catalog.ids.tolist() == [-9223372036854775808, 9223372036854775807]
+        assert set(np.flatnonzero(catalog.genres[0])) == {genre_index("Comedy")}
+
     @pytest.mark.parametrize("raw_id", ["99999999999999999999", "-9223372036854775809"])
     def test_id_outside_int64_is_malformed(self, tmp_path, raw_id):
         path = write(tmp_path, "movies.csv", f"movieId,title,genres\n1,A,Drama\n{raw_id},B,Comedy\n")
